@@ -3,8 +3,11 @@
 Verbs: exact, mc, circuit, qae, lowdepth, fit, plotdata. Every verb emits a
 JSON run report on stdout (or ``--out``): command, echoed inputs, a results
 block, and the wall-clock duration. The results block is bit-identical
-across reruns with the same inputs and seeds. ``plotdata`` instead emits
-CSV series extracted from a previously written report.
+across reruns with the same inputs and seeds. ``fit`` and ``lowdepth``
+reports add a ``metrics`` block with each fit's iterations, start count and
+converged flag; a fit that did not converge also prints a warning on
+stderr. ``plotdata`` instead emits CSV series extracted from a previously
+written report.
 
 Exit codes: 0 success, 1 validation/parse problems, 2 resource limit,
 3 fit divergence.
@@ -27,6 +30,7 @@ from .errors import (
     MissingSeriesError,
     ParseError,
     ResourceLimitError,
+    ValidationError,
 )
 from .exact import evaluate
 from .lowdepth import (
@@ -54,7 +58,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     started = time.perf_counter()
     try:
-        command, inputs, results, payload = args.handler(args)
+        command, inputs, results, payload, metrics = args.handler(args)
     except (ParseError, MissingSeriesError) as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 1
@@ -78,6 +82,8 @@ def main(argv=None) -> int:
             "results": results,
             "duration_seconds": time.perf_counter() - started,
         }
+        if metrics is not None:
+            report["metrics"] = metrics
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _write(payload, args.out)
     return 0
@@ -129,6 +135,22 @@ def _fit_dict(fit: FitResult) -> dict:
     }
 
 
+def _fit_blocks(trace: LowDepthTrace, fix_f: float | None) -> tuple[dict, dict]:
+    """Sine and noise-model fits of ``trace``: their results and their metrics.
+
+    A fit that did not converge is reported on stderr; its result stands.
+    """
+    fits = {"sine_fit": fit_sine(trace), "noise_fit": fit_noise_model(trace, fix_f=fix_f)}
+    metrics = {}
+    for name, fit in fits.items():
+        if not fit.converged:
+            print(f"warning: {name} did not converge in {fit.iterations} iterations",
+                  file=sys.stderr)
+        metrics[name] = {"iterations": fit.iterations, "converged": fit.converged,
+                         "n_starts": fit.n_starts}
+    return {name: _fit_dict(fit) for name, fit in fits.items()}, metrics
+
+
 def _trace_dict(trace: LowDepthTrace) -> dict:
     marked = [int(m) if m == int(m) else m for m in trace.marked]
     return {"schedule": list(trace.schedule), "shots": list(trace.shots), "marked": marked}
@@ -145,10 +167,12 @@ def _cmd_exact(args):
             for t, table in enumerate(tables)
         ]
     }
-    return "exact", {"model": args.model, "steps": args.steps}, results, None
+    return "exact", {"model": args.model, "steps": args.steps}, results, None, None
 
 
 def _cmd_mc(args):
+    if args.repeats < 1:
+        raise ValidationError("--repeats must be >= 1", code="invalid-repeats")
     model = _load_model_file(args.model)
     repeats = []
     for rep in range(args.repeats):
@@ -173,7 +197,7 @@ def _cmd_mc(args):
         results["spread"] = spread
     inputs = {"model": args.model, "steps": args.steps, "runs": args.runs,
               "seed": args.seed, "repeats": args.repeats}
-    return "mc", inputs, results, None
+    return "mc", inputs, results, None, None
 
 
 def _grover_spec(args, model) -> GroverSpec:
@@ -206,7 +230,7 @@ def _cmd_circuit(args):
     }
     inputs = {"model": args.model, "steps": args.steps, "kind": args.kind,
               "config": args.config, "bits": args.bits}
-    return "circuit", inputs, results, None
+    return "circuit", inputs, results, None, None
 
 
 def _cmd_qae(args):
@@ -225,7 +249,7 @@ def _cmd_qae(args):
                 "residual": result.residual,
             }
         }
-        return "qae", inputs, results, None
+        return "qae", inputs, results, None, None
     bits_list = _parse_int_list(args.bits_text)
     sweep = []
     for bits in bits_list:
@@ -239,7 +263,7 @@ def _cmd_qae(args):
             "probability": r.probability,
         })
     inputs["bits"] = bits_list
-    return "qae", inputs, {"sweep": sweep}, None
+    return "qae", inputs, {"sweep": sweep}, None, None
 
 
 def _exact_theta(model, steps: int, spec: GroverSpec) -> tuple[float, float]:
@@ -260,10 +284,10 @@ def _cmd_lowdepth(args):
     trace = run_schedule(model, args.steps, spec, schedule, args.shots,
                          noise=noise, seed=args.seed, qubit_cap=args.qubit_cap)
     theta_exact, p_exact = _exact_theta(model, args.steps, spec)
+    fits, metrics = _fit_blocks(trace, args.fix_f)
     results = {
         "trace": _trace_dict(trace),
-        "sine_fit": _fit_dict(fit_sine(trace)),
-        "noise_fit": _fit_dict(fit_noise_model(trace, fix_f=args.fix_f)),
+        **fits,
         "exact_theta": theta_exact,
         "exact_probability": p_exact,
     }
@@ -271,18 +295,15 @@ def _cmd_lowdepth(args):
               "schedule": schedule, "shots": args.shots, "seed": args.seed,
               "noise_epsilon": noise.per_grover_error if noise else None,
               "fix_f": args.fix_f}
-    return "lowdepth", inputs, results, None
+    return "lowdepth", inputs, results, None, metrics
 
 
 def _cmd_fit(args):
     with open(args.trace, encoding="utf-8") as handle:
         trace = trace_from_text(handle.read())
-    results = {
-        "trace": _trace_dict(trace),
-        "sine_fit": _fit_dict(fit_sine(trace)),
-        "noise_fit": _fit_dict(fit_noise_model(trace, fix_f=args.fix_f)),
-    }
-    return "fit", {"trace": args.trace, "fix_f": args.fix_f}, results, None
+    fits, metrics = _fit_blocks(trace, args.fix_f)
+    results = {"trace": _trace_dict(trace), **fits}
+    return "fit", {"trace": args.trace, "fix_f": args.fix_f}, results, None, metrics
 
 
 def _cmd_plotdata(args):
@@ -326,7 +347,7 @@ def _cmd_plotdata(args):
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown figure {args.figure!r}")
     payload = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-    return "plotdata", {"report": args.report, "figure": args.figure}, {}, payload
+    return "plotdata", {"report": args.report, "figure": args.figure}, {}, payload, None
 
 
 # --- parser -----------------------------------------------------------------

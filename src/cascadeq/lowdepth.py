@@ -4,10 +4,12 @@ The marked-count response after ``l`` Grover applications is
 ``r(theta, l, a, f) = e^{-a l} sin^2((2l+1) theta/2) + (1 - e^{-a l}) f``
 where ``a`` is the per-Grover error decay rate and ``f`` the expected marked
 fraction of a scrambled shot. Fits minimize the sum of squared residuals on
-count fractions with multi-start gradient descent (backtracking line search,
-analytic gradients). Angles follow the eigenphase convention
-``p = sin^2(theta/2)``; ``theta`` and ``2*pi - theta`` predict identical
-integer-power responses, so fits always report the smaller angle.
+count fractions with a batched, box-projected Levenberg-Marquardt solver
+(analytic Jacobian) run from a grid of starts. ``f`` is kept in [0, 1], and
+``a`` at or above -1 (or -100 / max l, for schedules reaching past power
+100) so ``e^{-a l}`` cannot overflow. Angles follow the eigenphase
+convention ``p = sin^2(theta/2)``; ``theta`` and ``2*pi - theta`` predict
+identical integer-power responses, so fits always report the smaller angle.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .circuit import GroverSpec, build_grover, build_model_circuit
 from .errors import FitDivergedError, ParseError, ValidationError
-from .model import NetworkModel
+from .model import NetworkModel, seed_tuple
 from .sim import DEFAULT_QUBIT_CAP, NoiseSpec, apply_gates, run, sample_marked
 
 __all__ = [
@@ -75,24 +77,36 @@ class LowDepthTrace:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters; ``probability = sin^2(theta/2)`` with theta in [0, pi]."""
+    """Fitted parameters; ``probability = sin^2(theta/2)`` with theta in [0, pi].
+
+    ``iterations`` counts the solver iterations of the start that won among
+    ``n_starts`` starts; ``converged`` is false when that start was still
+    improving when ``FitConfig.max_iters`` ran out.
+    """
 
     theta: float
     a: float
     f: float
     probability: float
     loss: float
+    iterations: int
+    converged: bool
+    n_starts: int
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multi-start grid and descent controls."""
+    """Multi-start grid and Levenberg-Marquardt controls.
+
+    ``tol`` is the relative loss decrease, or the root-mean-square residual,
+    below which a start has converged.
+    """
 
     theta_starts: tuple[float, ...] = tuple(math.pi * i / 40 for i in range(1, 40))
-    a_starts: tuple[float, ...] = (-0.1, 0.0, 0.25, 0.5, 1.0, 2.0)
-    f_starts: tuple[float, ...] = (0.25, 0.5, 0.75)
-    max_iters: int = 5000
-    grad_tol: float = 1e-9
+    a_starts: tuple[float, ...] = (0.0, 0.5, 2.0)
+    f_starts: tuple[float, ...] = (0.5,)
+    max_iters: int = 100
+    tol: float = 1e-10
 
 
 def predict(theta: float, power, a: float, f: float):
@@ -136,13 +150,13 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
     grover = build_grover(model, horizon, spec)
     register = base.register(spec.target_step)
     epsilon = noise.per_grover_error if noise is not None else 0.0
-    seed_tuple = (seed,) if isinstance(seed, int) else tuple(seed)
+    seeds = seed_tuple(seed)
     wanted = dict(zip(schedule, per_shots))
     state = run(base, qubit_cap=qubit_cap)
     counts: dict[int, int] = {}
     for power in range(max(schedule) + 1):
         if power in wanted:
-            rng = np.random.default_rng((*seed_tuple, power))
+            rng = np.random.default_rng((*seeds, power))
             counts[power] = sample_marked(state, register, spec.matches,
                                           wanted[power], (1.0 - epsilon) ** power, rng)
         if power < max(schedule):
@@ -157,127 +171,100 @@ def _fold(theta: float) -> float:
     return min(t, 2.0 * math.pi - t)
 
 
-def _descend(loss_fn, loss_grad_fn, starts: np.ndarray, clip_col: int | None,
-             max_iters: int, grad_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient descent with backtracking from every start row.
+def _residuals(fractions: np.ndarray, ells: np.ndarray, sine_only: bool, free_f: bool):
+    """Closure mapping a (starts, params) array to the residuals (starts, powers)
+    and their analytic Jacobian (starts, powers, params).
 
-    All starts advance in lockstep as full-matrix operations; a start is
-    frozen (step 0) once its gradient norm drops below ``grad_tol`` or its
-    line search stalls. The Armijo acceptance keeps every per-start loss
-    non-increasing.
+    Sine-only fits have the single parameter theta; the damped model has
+    (theta, a, f), and a pinned ``f`` gets a zero Jacobian column so it never
+    moves.
     """
-    final_params = starts.astype(float).copy()
-    final_losses = loss_fn(final_params)
-    index = np.arange(len(final_params))
-    params = final_params.copy()
-    losses = final_losses.copy()
-    step = np.where(np.isfinite(losses), 0.25, 0.0)
-    tol2 = grad_tol * grad_tol
-    window = 25
-    window_losses = losses.copy()
-    for iteration in range(max_iters):
-        if iteration % window == 0:
-            if iteration:
-                # monotone losses: a start whose window-wide decrease is
-                # negligible against its own loss has converged for all
-                # purposes (well below every reported digit)
-                step[window_losses - losses < 1e-13 + 1e-8 * losses] = 0.0
-            live = step > 0.0
-            if not live.all():
-                finished = ~live
-                final_params[index[finished]] = params[finished]
-                final_losses[index[finished]] = losses[finished]
-                index, params, losses, step = (x[live] for x in (index, params, losses, step))
-            window_losses = losses.copy()
-        if index.size == 0:
+    odd = 2.0 * ells + 1.0
+
+    def residuals(params):
+        theta = params[:, 0:1]
+        signal = np.sin(odd * theta / 2.0) ** 2
+        dsignal = (odd / 2.0) * np.sin(odd * theta)
+        if sine_only:
+            return signal - fractions, dsignal[:, :, None]
+        a, f = params[:, 1:2], params[:, 2:3]
+        decay = np.exp(-a * ells)
+        df = 1.0 - decay if free_f else np.zeros_like(decay)
+        jac = np.stack([decay * dsignal, -ells * decay * (signal - f), df], axis=-1)
+        return decay * (signal - f) + f - fractions, jac
+
+    return residuals
+
+
+def _levenberg_marquardt(residuals, starts: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                         max_iters: int, tol: float):
+    """Box-projected Levenberg-Marquardt from every start row in lockstep.
+
+    Each iteration solves (J^T J + lambda I) delta = -J^T r for all live
+    starts at once and clips the step into [lower, upper]. A step is taken
+    only if it strictly lowers that start's loss (then lambda /= 3, else
+    lambda *= 4), so per-start losses never increase. A start stops when an
+    accepted step lowers its loss by at most ``tol`` relative or leaves its
+    root-mean-square residual at most ``tol`` (an exact fit, where the
+    relative decrease may stay large down to the rounding floor), or when
+    lambda exceeds 1e12 (no step of any length helps). Returns the
+    parameters, the losses, the iterations each start ran, and which starts
+    were still live when ``max_iters`` ran out.
+    """
+    params = starts.astype(float)
+    res, jac = residuals(params)
+    losses = (res * res).sum(axis=1)
+    damping = np.full(len(params), 1e-3)
+    live = np.isfinite(losses)
+    eye = np.eye(params.shape[1])
+    iterations = np.zeros(len(params), dtype=int)
+    for _ in range(max_iters):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        grad = loss_grad_fn(params)[1]
-        if clip_col is not None:
-            col = params[:, clip_col]
-            gcol = grad[:, clip_col]
-            grad[((col <= 0.0) & (gcol > 0.0)) | ((col >= 1.0) & (gcol < 0.0)), clip_col] = 0.0
-        gnorm2 = (grad * grad).sum(axis=1)
-        step[gnorm2 < tol2] = 0.0
-        remaining = step > 0.0
-        if not remaining.any():
-            continue
-        for round_index in range(60):
-            candidate = params - (step * remaining)[:, None] * grad
-            if clip_col is not None:
-                candidate[:, clip_col] = np.clip(candidate[:, clip_col], 0.0, 1.0)
-            cand_loss = loss_fn(candidate)
-            ok = remaining & (cand_loss <= losses - 1e-4 * step * gnorm2)
-            params[ok] = candidate[ok]
-            losses[ok] = cand_loss[ok]
-            if round_index == 0:
-                # grow only steps that worked immediately; grown-then-halved
-                # steps would thrash between iterations
-                step[ok] = np.minimum(step[ok] * 1.5, 8.0)
-            remaining &= ~ok
-            if not remaining.any():
-                break
-            step[remaining] *= 0.5
-            stalled = remaining & (step < 1e-14)
-            step[stalled] = 0.0
-            remaining &= ~stalled
-        step[remaining] = 0.0  # 60 halvings without decrease: local minimum
-    final_params[index] = params
-    final_losses[index] = losses
-    return final_params, final_losses
+        iterations[idx] += 1
+        jtr = np.einsum("spi,sp->si", jac[idx], res[idx])
+        # a parameter on its bound whose descent direction points outward is
+        # held there, so the step solves for the free parameters only
+        pinned = (((params[idx] <= lower) & (jtr > 0.0))
+                  | ((params[idx] >= upper) & (jtr < 0.0)))
+        j = np.where(pinned[:, None, :], 0.0, jac[idx])
+        jtr[pinned] = 0.0
+        jtj = np.einsum("spi,spj->sij", j, j) + damping[idx, None, None] * eye
+        step = np.linalg.solve(jtj, -jtr[..., None])[..., 0]
+        cand = np.clip(params[idx] + step, lower, upper)
+        cand_res, cand_jac = residuals(cand)
+        cand_loss = (cand_res * cand_res).sum(axis=1)
+        better = cand_loss < losses[idx]
+        took = idx[better]
+        settled = ((losses[took] - cand_loss[better] <= tol * losses[took])
+                   | (cand_loss[better] <= tol * tol * res.shape[1]))
+        params[took], res[took], jac[took] = cand[better], cand_res[better], cand_jac[better]
+        losses[took] = cand_loss[better]
+        damping[took] /= 3.0
+        damping[idx[~better]] *= 4.0
+        live[took[settled]] = False
+        live &= damping <= 1e12
+    return params, losses, iterations, live
 
 
 def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
          free_f: bool, sine_only: bool, config: FitConfig) -> FitResult:
-    y = fractions[None, :]
-    odd = 2.0 * ells + 1.0
-
+    residuals = _residuals(fractions[None, :], ells, sine_only, free_f)
     if sine_only:
-        def loss_fn(params):
-            res = np.sin(odd * params[:, 0:1] / 2.0) ** 2 - y
-            return (res * res).sum(axis=1)
-
-        def loss_grad_fn(params):
-            theta = params[:, 0:1]
-            res = np.sin(odd * theta / 2.0) ** 2 - y
-            dtheta = (2.0 * res * (odd / 2.0) * np.sin(odd * theta)).sum(axis=1)
-            return (res * res).sum(axis=1), dtheta[:, None]
-
-        clip_col = None
+        lower, upper = np.array([-np.inf]), np.array([np.inf])
     else:
-        def _terms(params):
-            theta = params[:, 0:1]
-            a = params[:, 1:2]
-            f = params[:, 2:3]
-            signal = np.sin(odd * theta / 2.0) ** 2
-            decay = np.exp(-a * ells)
-            residual = decay * (signal - f) + f - y
-            return theta, f, signal, decay, residual
-
-        def loss_fn(params):
-            residual = _terms(params)[4]
-            return (residual * residual).sum(axis=1)
-
-        def loss_grad_fn(params):
-            theta, f, signal, decay, residual = _terms(params)
-            dtheta = (2.0 * residual * decay * (odd / 2.0) * np.sin(odd * theta)).sum(axis=1)
-            da = (2.0 * residual * (-ells) * decay * (signal - f)).sum(axis=1)
-            if free_f:
-                df = (2.0 * residual * (1.0 - decay)).sum(axis=1)
-            else:
-                df = np.zeros_like(da)
-            return (residual * residual).sum(axis=1), np.stack([dtheta, da, df], axis=1)
-
-        clip_col = 2 if free_f else None
-
-    params, losses = _descend(loss_fn, loss_grad_fn, starts, clip_col,
-                              config.max_iters, config.grad_tol)
+        # e^{-a l} <= e^{100} keeps squared residuals and J^T J finite; f is a probability
+        min_rate = -min(1.0, 100.0 / max(ells.max(), 1.0))
+        lower, upper = np.array([-np.inf, min_rate, 0.0]), np.array([np.inf, np.inf, 1.0])
+    params, losses, iterations, live = _levenberg_marquardt(
+        residuals, starts, lower, upper, config.max_iters, config.tol)
     if not np.isfinite(losses).any():
         raise FitDivergedError("no start produced a finite loss")
-    losses = np.where(np.isfinite(losses), losses, np.inf)
     folded = np.array([_fold(t) for t in params[:, 0]])
-    params = params.copy()
     params[:, 0] = folded
-    losses = loss_fn(params)  # folding preserves the loss up to rounding
+    res = residuals(params)[0]
+    losses = (res * res).sum(axis=1)  # folding preserves the loss up to rounding
     best = np.lexsort((folded, losses))[0]
     theta = float(params[best, 0])
     if sine_only:
@@ -285,7 +272,8 @@ def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
     else:
         a_val = float(params[best, 1])
         f_val = float(min(max(params[best, 2], 0.0), 1.0))
-    return FitResult(theta, a_val, f_val, math.sin(theta / 2.0) ** 2, float(losses[best]))
+    return FitResult(theta, a_val, f_val, math.sin(theta / 2.0) ** 2, float(losses[best]),
+                     int(iterations[best]), not live[best], len(starts))
 
 
 def fit_sine(trace: LowDepthTrace, config: FitConfig | None = None) -> FitResult:
@@ -301,8 +289,9 @@ def fit_noise_model(trace: LowDepthTrace, config: FitConfig | None = None,
                     fix_f: float | None = None) -> FitResult:
     """Fit (theta, a, f) of the damped response; ``fix_f`` pins the scramble level.
 
-    ``f`` is clamped to [0, 1]; ``a`` is unconstrained (slightly negative
-    rates do occur on real data) and predictions are not clamped.
+    ``f`` is clamped to [0, 1]; ``a`` may go negative (slightly negative
+    rates do occur on real data) down to -1, or -100 / max power for
+    schedules past power 100, and predictions are not clamped.
     """
     config = config or FitConfig()
     if fix_f is not None and not 0.0 <= fix_f <= 1.0:

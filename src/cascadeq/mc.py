@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import NetworkModel, validate
+from .model import NetworkModel, seed_tuple, validate
 
 __all__ = ["McResult", "sample_trajectory", "evaluate_mc", "CHUNK_SIZE"]
 
@@ -75,14 +75,14 @@ def evaluate_mc(model: NetworkModel, horizon: int, runs: int, seed) -> McResult:
         raise ValidationError("runs must be >= 1", code="invalid-runs")
     if horizon < 0:
         raise ValidationError("horizon must be >= 0", code="invalid-horizon")
-    seed_tuple = (seed,) if isinstance(seed, int) else tuple(seed)
+    seeds = seed_tuple(seed)
     p_fail, p_rec, p_trig = _as_arrays(model)
     counts: dict[int, int] = {}
     done = 0
     chunk_index = 0
     while done < runs:
         size = min(CHUNK_SIZE, runs - done)
-        rng = np.random.default_rng((*seed_tuple, chunk_index))
+        rng = np.random.default_rng((*seeds, chunk_index))
         configs = _sample_chunk(p_fail, p_rec, p_trig, horizon, size, rng)
         values, chunk_counts = np.unique(configs, return_counts=True)
         for v, n in zip(values, chunk_counts):

@@ -117,6 +117,16 @@ def validate(model: NetworkModel) -> None:
             )
 
 
+def seed_tuple(seed) -> tuple[int, ...]:
+    """An int or tuple-of-ints seed as a tuple; negative entries are rejected
+    here because numpy's seeding raises a bare ValueError on them."""
+    seeds = (seed,) if isinstance(seed, int) else tuple(seed)
+    if any(s < 0 for s in seeds):
+        raise ValidationError(f"seed {seed!r} has a negative entry; seeds must be >= 0",
+                              code="invalid-seed")
+    return seeds
+
+
 # --- configuration encoding -------------------------------------------------
 
 def config_int(bits: Iterable[int]) -> int:

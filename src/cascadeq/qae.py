@@ -9,7 +9,7 @@ import numpy as np
 
 from .circuit import GroverSpec, build_grover, build_model_circuit, build_qae_circuit
 from .errors import DegenerateSubspaceError, ValidationError
-from .model import NetworkModel
+from .model import NetworkModel, seed_tuple
 from .sim import DEFAULT_QUBIT_CAP, apply_gates, run, sample_counts
 
 __all__ = [
@@ -63,9 +63,10 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
 def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: int,
                      shots: int, seed, qubit_cap: int = DEFAULT_QUBIT_CAP) -> QaeResult:
     """Sample the phase-estimation ancillas and decode the most frequent outcome."""
+    seeds = seed_tuple(seed)
     circuit = build_qae_circuit(model, horizon, spec, bits)
     state = run(circuit, qubit_cap=qubit_cap)
-    counts = sample_counts(state, circuit.ancillas, shots, seed)
+    counts = sample_counts(state, circuit.ancillas, shots, seeds)
     modal = min(counts, key=lambda y: (-counts[y], y))
     theta, probability = decode_outcome(modal, bits)
     return QaeResult(bits, counts, modal, theta, probability)

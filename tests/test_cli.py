@@ -119,12 +119,38 @@ def test_lowdepth_with_noise_fit(capsys, fixtures_dir):
     fit = report["results"]["noise_fit"]
     assert fit["probability"] == pytest.approx(0.588, abs=0.05)
     assert fit["theta_half"] == pytest.approx(fit["theta"] / 2.0)
+    assert report["metrics"]["noise_fit"]["converged"] is True
+    assert report["metrics"]["sine_fit"]["n_starts"] == 39
 
 
 def test_fit_device_trace(capsys, fixtures_dir):
     report = report_of(capsys, "fit", "--trace",
                        model_path(fixtures_dir, "trace_1node_device_t3.csv"))
     assert report["results"]["noise_fit"]["probability"] == pytest.approx(0.581, abs=0.02)
+    assert set(report["results"]) == {"trace", "sine_fit", "noise_fit"}
+    assert set(report["results"]["noise_fit"]) == {
+        "theta", "theta_half", "a", "f", "probability", "loss"}
+    for name, n_starts in (("sine_fit", 39), ("noise_fit", 117)):
+        metrics = report["metrics"][name]
+        assert metrics["converged"] is True
+        assert metrics["n_starts"] == n_starts
+        assert 0 < metrics["iterations"] <= 100
+
+
+def test_fit_warns_when_not_converged(capsys, fixtures_dir, monkeypatch):
+    import cascadeq.cli as cli_module
+    from cascadeq import FitConfig, fit_noise_model
+
+    monkeypatch.setattr(cli_module, "fit_noise_model", lambda trace, fix_f=None: fit_noise_model(
+        trace, config=FitConfig(max_iters=1), fix_f=fix_f))
+    code = main(["fit", "--trace", model_path(fixtures_dir, "trace_1node_noisy_t2.csv")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "warning: noise_fit did not converge in 1 iterations\n"
+    report = json.loads(captured.out)
+    assert report["metrics"]["noise_fit"] == {"iterations": 1, "converged": False,
+                                              "n_starts": 117}
+    assert report["metrics"]["sine_fit"]["converged"] is True
 
 
 def test_fit_noisy_trace(capsys, fixtures_dir):
@@ -215,6 +241,21 @@ def test_exit_codes(capsys, fixtures_dir, tmp_path, monkeypatch):
 
     code, _ = run_cli(capsys, "bogus-verb")
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("mc", "--runs", "100", "--seed", "-1"),
+    ("mc", "--runs", "100", "--repeats", "0"),
+    ("lowdepth", "--config", "11", "--shots", "10", "--seed", "-1"),
+    ("qae", "--config", "11", "--seed", "-1"),
+], ids=["mc-negative-seed", "mc-zero-repeats", "lowdepth-negative-seed", "qae-negative-seed"])
+def test_bad_seed_or_repeats_is_a_validation_error(capsys, fixtures_dir, args):
+    code = main([args[0], "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "2", *args[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error (invalid-")
+    assert captured.out == ""
 
 
 def test_config_length_checked(capsys, fixtures_dir):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadeq import (
@@ -24,7 +25,7 @@ from cascadeq import (
     trace_to_text,
 )
 from cascadeq.errors import FitDivergedError
-from cascadeq.lowdepth import _fit
+from cascadeq.lowdepth import _fit, _residuals
 
 
 def read_trace(fixtures_dir, name):
@@ -168,15 +169,19 @@ def test_noise_fit_published_rows(fixtures_dir):
     assert fit.a < 0.0  # near-noiseless data fits a slightly negative rate
 
 
-def test_noise_fit_inverts_exact_curve():
-    theta, a, f = 1.23, 0.4, 0.37
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.3, 2.8), a=st.floats(0.0, 0.5), f=st.floats(0.2, 0.8))
+@example(theta=1.23, a=0.4, f=0.37)
+def test_noise_fit_inverts_exact_curve(theta, a, f):
     shots = 100_000
     marked = [shots * predict(theta, l, a, f) for l in range(9)]
     trace = LowDepthTrace(tuple(range(9)), (shots,) * 9, tuple(marked))
     fit = fit_noise_model(trace)
+    assert fit.converged
     assert fit.theta == pytest.approx(theta, abs=1e-4)
     assert fit.a == pytest.approx(a, abs=1e-4)
-    assert fit.f == pytest.approx(f, abs=1e-4)
+    if a >= 0.05:  # f weighs 1 - e^{-8a} in the curve; at a = 0 it has no effect
+        assert fit.f == pytest.approx(f, abs=1e-4)
 
 
 def test_noise_fit_fix_f(fixtures_dir):
@@ -204,6 +209,7 @@ def test_degenerate_all_or_nothing_trace():
     fit = fit_sine(trace)
     assert fit.theta == pytest.approx(0.0, abs=1e-2)
     assert fit.loss < 1e-9
+    assert fit.converged
 
 
 def test_loss_non_increasing_with_iteration_budget(fixtures_dir):
@@ -222,31 +228,56 @@ def test_fit_diverged_on_non_finite_data():
 
 
 def test_gradient_matches_finite_differences():
+    # the Jacobian the solver uses, against central differences of its residuals
     fractions = np.array([0.62, 0.42, 0.58, 0.47, 0.52])
-    ells = np.arange(5.0)
-    theta, a, f = 1.7, 0.9, 0.5
-
-    def loss(p):
-        return float(((np.exp(-p[1] * ells)
-                       * (np.sin((2 * ells + 1) * p[0] / 2.0) ** 2 - p[2])
-                       + p[2] - fractions) ** 2).sum())
-
-    base = np.array([theta, a, f])
     eps = 1e-7
-    numeric = np.array([
-        (loss(base + eps * np.eye(3)[i]) - loss(base - eps * np.eye(3)[i])) / (2 * eps)
-        for i in range(3)
-    ])
-    odd = 2 * ells + 1
-    signal = np.sin(odd * theta / 2.0) ** 2
-    decay = np.exp(-a * ells)
-    residual = decay * (signal - f) + f - fractions
-    analytic = np.array([
-        (2 * residual * decay * (odd / 2.0) * np.sin(odd * theta)).sum(),
-        (2 * residual * (-ells) * decay * (signal - f)).sum(),
-        (2 * residual * (1 - decay)).sum(),
-    ])
-    assert np.max(np.abs(numeric - analytic)) < 1e-6
+    for sine_only, free_f, params in ((True, False, [1.7]), (False, True, [1.7, 0.9, 0.5]),
+                                      (False, False, [1.7, 0.9, 0.5])):
+        residuals = _residuals(fractions[None, :], np.arange(5.0), sine_only, free_f)
+        base = np.array([params])
+        analytic = residuals(base)[1][0]
+        numeric = np.stack([
+            (residuals(base + eps * unit)[0][0] - residuals(base - eps * unit)[0][0]) / (2 * eps)
+            for unit in np.eye(len(params))
+        ], axis=-1)
+        if not (sine_only or free_f):
+            numeric[:, 2] = 0.0  # a pinned f has a zero column, so it never moves
+        assert np.max(np.abs(numeric - analytic)) < 1e-6
+
+
+def test_fixture_fits_converge(fixtures_dir):
+    for path in sorted(fixtures_dir.glob("trace_*.csv")):
+        trace = trace_from_text(path.read_text())
+        fits = [(fit_sine(trace), 39), (fit_noise_model(trace), 117),
+                (fit_noise_model(trace, fix_f=0.5), 117)]
+        for fit, n_starts in fits:
+            assert fit.converged, path.name
+            assert 0 < fit.iterations <= FitConfig().max_iters
+            assert fit.n_starts == n_starts
+
+
+def test_fit_reports_exhausted_budget(fixtures_dir):
+    trace = read_trace(fixtures_dir, "trace_1node_noisy_t2.csv")
+    fit = fit_noise_model(trace, config=FitConfig(max_iters=1))
+    assert not fit.converged
+    assert fit.iterations == 1
+
+
+def test_growing_trace_keeps_rate_bounded():
+    # an amplitude growing with l pulls the rate negative; e^{-a l} must stay finite
+    trace = LowDepthTrace(tuple(range(13)), (1000,) * 13, tuple(
+        round(1000 * (0.5 + 0.5 * math.exp(0.3 * (l - 12)) * math.cos(1.1 * l)))
+        for l in range(13)))
+    far = LowDepthTrace((0, 1, 2, 800), (100,) * 4, (30, 60, 20, 99))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fits = [fit_noise_model(trace), fit_noise_model(trace, fix_f=0.5)]
+        far_fit = fit_noise_model(far)
+    for fit in fits:
+        assert math.isfinite(fit.loss)
+        assert -1.0 <= fit.a < 0.0
+    assert math.isfinite(far_fit.loss)
+    assert far_fit.a >= -100.0 / 800
 
 
 def test_min_shots_examples():
