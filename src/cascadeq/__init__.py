@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .exact import DistributionTable, PairTable, evaluate, evolve_node, marginal
+from .exact import DistributionTable, evaluate, marginal
 from .lowdepth import (
     FitConfig,
     FitResult,
@@ -37,7 +37,7 @@ from .lowdepth import (
     trace_from_text,
     trace_to_text,
 )
-from .mc import McResult, evaluate_mc, sample_trajectory
+from .mc import McResult, evaluate_mc
 from .model import (
     NetworkModel,
     config_bits,
@@ -55,7 +55,6 @@ from .sim import (
     marginal_probability,
     probabilities,
     run,
-    run_noisy_lowdepth,
     sample_counts,
 )
 

@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .exact import evaluate
+from .exact import evaluate, marginal
 from .lowdepth import (
     FitResult,
     LowDepthTrace,
@@ -267,8 +267,8 @@ def _cmd_qae(args):
 
 
 def _exact_theta(model, steps: int, spec: GroverSpec) -> tuple[float, float]:
-    table = evaluate(model, steps)[steps]
-    p = sum(v for c, v in table.probs.items() if spec.matches(c))
+    nodes, bits = zip(*spec.marked)
+    p = marginal(evaluate(model, steps)[steps], nodes, bits)
     return 2.0 * math.asin(math.sqrt(p)), p
 
 

@@ -1,10 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the memory budget of the
+dense engines.
 
 Every exception carries a stable kebab-case ``code`` so callers (and the
 CLI exit-code mapping) can react to the failure class without parsing
 messages.
 """
 from __future__ import annotations
+
+DENSE_BYTE_BUDGET = 1 << 30
+"""Most bytes the exact step matrix or a statevector may take (1 GiB)."""
 
 
 class CascadeqError(Exception):
@@ -31,9 +35,16 @@ class ParseError(CascadeqError, ValueError):
 
 
 class ResourceLimitError(CascadeqError, RuntimeError):
-    """Requested simulation exceeds the configured qubit cap."""
+    """Requested simulation exceeds the qubit cap or the dense byte budget."""
 
     code = "resource-limit"
+
+
+def check_dense_bytes(nbytes: int, what: str) -> None:
+    """Raise ResourceLimitError before allocating more than DENSE_BYTE_BUDGET."""
+    if nbytes > DENSE_BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"{what} needs {nbytes} bytes, over the budget of {DENSE_BYTE_BUDGET}")
 
 
 class FitDivergedError(CascadeqError, RuntimeError):

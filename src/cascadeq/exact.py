@@ -1,27 +1,38 @@
-"""Exact configuration probabilities via history-tracking pair tables.
+"""Exact configuration probabilities from the one-step transition matrix.
 
-One step of the evolution is computed by seeding a table of
-(previous-config, current-config) pairs with ``(c, c)`` entries weighted by
-the step-t distribution and then folding a per-node update over all nodes.
-The frozen first component keeps the information the per-node update needs
-(which nodes were failed before the step started) while the second
-component accumulates the new states. Exponential in k, which is fine for
-the desk-scale models this package targets.
+``T[b, c]`` is the probability of configuration c one step after
+configuration b: the paper's pair table of (previous-config,
+current-config) mass, held as a dense (2^k, 2^k) array and folded one node
+at a time. Each row keeps the previous configuration, which the per-node
+rule :func:`cascadeq.model.p_on` reads; the column index accumulates the new
+states. A step multiplies the distribution by ``T``.
+
+Cost: the fold peaks at about 1.5 * 8 * 4^k bytes (the last node's input
+and output tables), and each step is one 2^k by 2^k vector-matrix product.
+A model whose fold would pass ``DENSE_BYTE_BUDGET`` (k >= 14) raises
+``ResourceLimitError`` before anything is allocated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
-from .model import NetworkModel, format_config, validate
+import numpy as np
 
-__all__ = ["DistributionTable", "PairTable", "evolve_node", "evaluate", "marginal"]
+from .errors import ValidationError, check_dense_bytes
+from .model import NetworkModel, format_config, p_on, validate
+
+__all__ = ["DistributionTable", "evaluate", "marginal"]
+
+_FOLD_PEAK = 1.53
+"""Peak bytes of ``_step_matrix`` as a multiple of the 8 * 4^k of its result
+(tracemalloc: 1.53 at k=10, 1.51 at k=11)."""
 
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Probability of each configuration at one time step."""
+    """Probability of each configuration at one time step; configurations
+    with probability 0 are left out."""
 
     k: int
     probs: dict[int, float]
@@ -37,50 +48,21 @@ class DistributionTable:
         return sum(self.probs.values())
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """Mid-step mass on (previous-config, current-config) pairs."""
-
-    k: int
-    entries: dict[tuple[int, int], float]
-
-    def total(self) -> float:
-        return sum(self.entries.values())
-
-
-def evolve_node(table: PairTable, model: NetworkModel, node: int) -> PairTable:
-    """Split every pair's mass according to node ``node``'s transition.
-
-    For an entry ((b, c), w): if b has the node failed, the mass splits into
-    stay-failed (1 - p_recover) and recovered (p_recover); if b has it good,
-    it splits into stay-good p_off = (1 - p_fail) * prod(1 - p_trigger[m][node])
-    over nodes m failed in b, and newly-failed 1 - p_off. b never changes.
-    Zero-weight outcomes are pruned.
-    """
-    if not (1 <= node <= model.k):
-        raise ValidationError(f"node {node} outside 1..{model.k}", code="invalid-node-index")
-    i = node - 1
-    bit = 1 << i
-    p_rec = model.p_recover[i]
-    p_fail = model.p_fail[i]
-    out: dict[tuple[int, int], float] = {}
-
-    def add(key: tuple[int, int], w: float) -> None:
-        if w != 0.0:
-            out[key] = out.get(key, 0.0) + w
-
-    for (b, c), w in table.entries.items():
-        if b & bit:
-            add((b, c | bit), w * (1.0 - p_rec))
-            add((b, c & ~bit), w * p_rec)
-        else:
-            p_off = 1.0 - p_fail
-            for m in range(model.k):
-                if (b >> m) & 1:
-                    p_off *= 1.0 - model.p_trigger[m][i]
-            add((b, c & ~bit), w * p_off)
-            add((b, c | bit), w * (1.0 - p_off))
-    return PairTable(table.k, out)
+def _step_matrix(model: NetworkModel) -> np.ndarray:
+    """``T[b, c]``, folded from one column of ones: node n splits every column
+    into a node-n-good half weighted 1 - p_on and a node-n-failed half
+    weighted p_on, so the column index holds the new states of nodes 1..n."""
+    size = 1 << model.k
+    failed = (np.arange(size)[:, None] >> np.arange(model.k)) & 1 == 1
+    on = p_on(model, failed)
+    table = np.ones((size, 1))
+    for n in range(model.k):
+        width = table.shape[1]
+        folded = np.empty((size, 2 * width))
+        np.multiply(table, 1.0 - on[:, n, None], out=folded[:, :width])
+        np.multiply(table, on[:, n, None], out=folded[:, width:])
+        table = folded
+    return table
 
 
 def evaluate(model: NetworkModel, horizon: int) -> list[DistributionTable]:
@@ -88,15 +70,16 @@ def evaluate(model: NetworkModel, horizon: int) -> list[DistributionTable]:
     validate(model)
     if horizon < 0:
         raise ValidationError("horizon must be >= 0", code="invalid-horizon")
+    check_dense_bytes(int(_FOLD_PEAK * 8 * 4 ** model.k),
+                      f"the {model.k}-node step matrix")
+    matrix = _step_matrix(model)
+    dist = np.zeros(1 << model.k)
+    dist[0] = 1.0
     dists = [DistributionTable(model.k, {0: 1.0})]
     for _ in range(horizon):
-        table = PairTable(model.k, {(c, c): p for c, p in dists[-1].probs.items() if p != 0.0})
-        for node in range(1, model.k + 1):
-            table = evolve_node(table, model, node)
-        probs: dict[int, float] = {}
-        for (_, c), w in table.entries.items():
-            probs[c] = probs.get(c, 0.0) + w
-        dists.append(DistributionTable(model.k, probs))
+        dist = dist @ matrix
+        dists.append(DistributionTable(model.k, {int(c): float(dist[c])
+                                                 for c in np.flatnonzero(dist)}))
     return dists
 
 

@@ -1,8 +1,11 @@
 """Monte Carlo estimation of configuration probabilities.
 
-Trajectories are simulated in fixed-size chunks; chunk ``i`` draws from
-``numpy.random.default_rng((seed, i))``, so results are reproducible and
-independent of how chunks would be distributed over workers.
+Each step draws one uniform per node per trajectory and fails the node when
+the draw is below :func:`cascadeq.model.p_on` of the trajectory's previous
+configuration. Trajectories are simulated in fixed-size chunks; chunk ``i``
+draws from ``numpy.random.default_rng((seed, i))``, so results are
+reproducible and independent of how chunks would be distributed over
+workers.
 """
 from __future__ import annotations
 
@@ -11,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import NetworkModel, seed_tuple, validate
+from .model import NetworkModel, p_on, seed_tuple, validate
 
-__all__ = ["McResult", "sample_trajectory", "evaluate_mc", "CHUNK_SIZE"]
+__all__ = ["McResult", "evaluate_mc", "CHUNK_SIZE"]
 
 CHUNK_SIZE = 1 << 16
 
@@ -31,36 +34,13 @@ class McResult:
         return {c: n / self.runs for c, n in self.counts.items()}
 
 
-def _as_arrays(model: NetworkModel):
-    return (
-        np.asarray(model.p_fail),
-        np.asarray(model.p_recover),
-        np.asarray(model.p_trigger),
-    )
-
-
-def _sample_chunk(p_fail, p_rec, p_trig, horizon: int, count: int,
+def _sample_chunk(model: NetworkModel, horizon: int, count: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Final configurations of ``count`` trajectories as integers."""
-    k = len(p_fail)
-    failed = np.zeros((count, k), dtype=bool)
+    failed = np.zeros((count, model.k), dtype=bool)
     for _ in range(horizon):
-        u_node = rng.random((count, k))
-        u_trig = rng.random((count, k, k))
-        # triggered[i, n]: some node m failed in the previous step fires its edge to n
-        triggered = (failed[:, :, None] & (u_trig < p_trig[None, :, :])).any(axis=1)
-        failed = np.where(failed, u_node >= p_rec, (u_node < p_fail) | triggered)
-    weights = 1 << np.arange(k, dtype=np.int64)
-    return failed @ weights
-
-
-def sample_trajectory(model: NetworkModel, horizon: int, rng: np.random.Generator) -> int:
-    """Configuration reached after ``horizon`` steps from the all-good state."""
-    validate(model)
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0", code="invalid-horizon")
-    p_fail, p_rec, p_trig = _as_arrays(model)
-    return int(_sample_chunk(p_fail, p_rec, p_trig, horizon, 1, rng)[0])
+        failed = rng.random((count, model.k)) < p_on(model, failed)
+    return failed @ (1 << np.arange(model.k, dtype=np.int64))
 
 
 def evaluate_mc(model: NetworkModel, horizon: int, runs: int, seed) -> McResult:
@@ -76,14 +56,13 @@ def evaluate_mc(model: NetworkModel, horizon: int, runs: int, seed) -> McResult:
     if horizon < 0:
         raise ValidationError("horizon must be >= 0", code="invalid-horizon")
     seeds = seed_tuple(seed)
-    p_fail, p_rec, p_trig = _as_arrays(model)
     counts: dict[int, int] = {}
     done = 0
     chunk_index = 0
     while done < runs:
         size = min(CHUNK_SIZE, runs - done)
         rng = np.random.default_rng((*seeds, chunk_index))
-        configs = _sample_chunk(p_fail, p_rec, p_trig, horizon, size, rng)
+        configs = _sample_chunk(model, horizon, size, rng)
         values, chunk_counts = np.unique(configs, return_counts=True)
         for v, n in zip(values, chunk_counts):
             counts[int(v)] = counts.get(int(v), 0) + int(n)

@@ -16,11 +16,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 __all__ = [
     "NetworkModel",
     "validate",
+    "p_on",
     "load_model",
     "save_model",
     "config_int",
@@ -115,6 +118,21 @@ def validate(model: NetworkModel) -> None:
                 f"p_trigger[{m + 1}][{m + 1}] must be 0: a node cannot trigger itself",
                 code="nonzero-self-trigger",
             )
+
+
+def p_on(model: NetworkModel, failed: np.ndarray) -> np.ndarray:
+    """Probability that each node is failed after one step.
+
+    ``failed`` is a (..., k) bool array of the nodes failed before the step.
+    A failed node stays failed with 1 - p_recover; a good node stays good
+    with (1 - p_fail) * prod(1 - p_trigger[m][n]) over the failed nodes m,
+    multiplied in node order.
+    """
+    p_off = np.broadcast_to(1.0 - np.asarray(model.p_fail), failed.shape).copy()
+    trigger = np.asarray(model.p_trigger)
+    for m in range(model.k):
+        np.multiply(p_off, 1.0 - trigger[m], out=p_off, where=failed[..., m, None])
+    return np.where(failed, 1.0 - np.asarray(model.p_recover), 1.0 - p_off)
 
 
 def seed_tuple(seed) -> tuple[int, ...]:

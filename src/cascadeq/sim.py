@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, check_dense_bytes
+from .model import seed_tuple
 
 __all__ = [
     "DEFAULT_QUBIT_CAP",
@@ -27,7 +28,6 @@ __all__ = [
     "sample_counts",
     "extract_unitary",
     "sample_marked",
-    "run_noisy_lowdepth",
 ]
 
 DEFAULT_QUBIT_CAP = 20
@@ -42,17 +42,16 @@ class NoiseSpec:
     decay rate ``a`` of the damped-oscillation response."""
 
     per_grover_error: float
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.per_grover_error <= 1.0:
             raise ValidationError("per-Grover error must be in [0, 1]", code="out-of-range")
 
     @classmethod
-    def from_decay_rate(cls, a: float, seed: int | None = None) -> "NoiseSpec":
+    def from_decay_rate(cls, a: float) -> "NoiseSpec":
         if a < 0.0:
             raise ValidationError("decay rate must be >= 0", code="out-of-range")
-        return cls(1.0 - math.exp(-a), seed)
+        return cls(1.0 - math.exp(-a))
 
 
 def _axis(n: int, qubit: int) -> int:
@@ -115,6 +114,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None,
     n = circuit.n_qubits
     if n > qubit_cap:
         raise ResourceLimitError(f"{n} qubits exceed the cap of {qubit_cap}")
+    check_dense_bytes(16 << n, f"a {n}-qubit statevector")
     dim = 1 << n
     if initial is None:
         state = np.zeros(dim, dtype=complex)
@@ -169,7 +169,7 @@ def sample_counts(state: np.ndarray, qubits: Sequence[int], shots: int,
         raise ValidationError("shots must be >= 1", code="invalid-shots")
     probs = np.clip(probabilities(state, qubits), 0.0, None)
     probs /= probs.sum()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_tuple(seed))
     drawn = rng.multinomial(shots, probs)
     return {int(v): int(c) for v, c in enumerate(drawn) if c}
 
@@ -206,26 +206,6 @@ def sample_marked(state: np.ndarray, qubits: Sequence[int],
     if shots - n_clean:
         outcomes[~clean] = rng.integers(0, dim, size=shots - n_clean)
     return int(lut[outcomes].sum())
-
-
-def run_noisy_lowdepth(model_circuit: Circuit, grover: Circuit, power: int,
-                       shots: int, noise: NoiseSpec,
-                       marked: Callable[[int], bool], qubits: Sequence[int],
-                       qubit_cap: int = DEFAULT_QUBIT_CAP) -> int:
-    """Marked count after the model circuit plus ``power`` Grover applications.
-
-    Shots survive all applications with probability
-    (1 - per_grover_error)^power; scrambled shots measure uniformly over the
-    observed register.
-    """
-    if power < 0:
-        raise ValidationError("grover power must be >= 0", code="invalid-power")
-    state = run(model_circuit, qubit_cap=qubit_cap)
-    for _ in range(power):
-        apply_gates(state, grover.gates, model_circuit.n_qubits)
-    survival = (1.0 - noise.per_grover_error) ** power
-    rng = np.random.default_rng(noise.seed)
-    return sample_marked(state, qubits, marked, shots, survival, rng)
 
 
 def _qubit_count(state: np.ndarray) -> int:

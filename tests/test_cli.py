@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cascadeq import FitDivergedError, parse_gates
+from cascadeq import FitDivergedError, NetworkModel, parse_gates, save_model
 from cascadeq.cli import main
 
 
@@ -255,6 +255,22 @@ def test_bad_seed_or_repeats_is_a_validation_error(capsys, fixtures_dir, args):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error (invalid-")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("k,args", [
+    (14, ("exact", "--steps", "1")),
+    (6, ("qae", "--steps", "5", "--config", "1" * 6, "--eigenphase", "--qubit-cap", "40")),
+], ids=["exact-14-nodes", "eigenphase-30-qubits"])
+def test_dense_engine_over_byte_budget_exits_2(capsys, tmp_path, k, args):
+    # the 14-node step matrix (1.5 * 8 * 4^14 bytes) and the 30-qubit
+    # statevector (16 * 2^30 bytes) are refused before they are allocated
+    path = tmp_path / "model.json"
+    path.write_text(save_model(NetworkModel.from_triggers([0.1] * k, [0.5] * k, {(1, 2): 0.3})))
+    code = main([args[0], "--model", str(path), *args[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
     assert captured.out == ""
 
 

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeq import (
-    NetworkModel,
-    PairTable,
-    ValidationError,
-    evaluate,
-    evolve_node,
-    marginal,
-)
-from helpers import enumerate_distribution, random_model
+from cascadeq import NetworkModel, ValidationError, evaluate, marginal
+from cascadeq.exact import _step_matrix
+from helpers import enumerate_distribution, random_model, step_probability
 
 # printed three-decimal values of the worked two-node example
 PRINTED = {
@@ -23,31 +17,32 @@ PRINTED = {
 }
 
 
-def test_evolve_node_single_node_failure_split():
+def test_step_matrix_single_node_failure_split():
     model = NetworkModel.from_triggers([0.3], [0.0], {})
-    table = PairTable(1, {(0, 0): 1.0})
-    out = evolve_node(table, model, 1)
-    assert out.entries == pytest.approx({(0, 0): 0.7, (0, 1): 0.3})
+    assert _step_matrix(model)[0] == pytest.approx([0.7, 0.3])
 
 
-def test_evolve_node_no_recovery_keeps_mass():
+def test_step_matrix_no_recovery_keeps_mass():
     model = NetworkModel.from_triggers([0.5], [0.0], {})
-    table = PairTable(1, {(1, 1): 1.0})
-    out = evolve_node(table, model, 1)
-    assert out.entries == {(1, 1): 1.0}
+    assert list(_step_matrix(model)[1]) == [0.0, 1.0]
 
 
-def test_evolve_node_triggered_split(two_node):
+def test_step_matrix_triggered_split(two_node):
     # previous configuration 10: node 2 failed, node 1 good
-    table = PairTable(2, {(2, 2): 1.0})
-    out = evolve_node(table, two_node, 1)
-    assert out.entries == pytest.approx({(2, 2): 0.16, (2, 3): 0.84})
+    row = _step_matrix(two_node)[2]
+    assert row[0] + row[2] == pytest.approx(0.16)
+    assert row[1] + row[3] == pytest.approx(0.84)
 
 
-def test_evolve_node_bad_index(two_node):
-    with pytest.raises(ValidationError) as err:
-        evolve_node(PairTable(2, {(0, 0): 1.0}), two_node, 3)
-    assert err.value.code == "invalid-node-index"
+def test_step_matrix_rows_match_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        k = int(rng.integers(1, 4))
+        model = random_model(rng, k)
+        matrix = _step_matrix(model)
+        for prev, cur in itertools.product(range(1 << k), repeat=2):
+            assert matrix[prev, cur] == pytest.approx(
+                step_probability(model, prev, cur), rel=0, abs=1e-15)
 
 
 def test_worked_example_matches_printed_values(two_node):
@@ -74,23 +69,6 @@ def test_matches_trajectory_enumeration_random_models():
         got = evaluate(model, horizon)[horizon]
         for config in range(1 << k):
             assert got.probability(config) == pytest.approx(expected[config], abs=1e-12)
-
-
-def test_node_order_does_not_change_step(two_node):
-    tables = evaluate(two_node, 2)
-    seed = {(c, c): p for c, p in tables[2].probs.items()}
-    results = []
-    for order in itertools.permutations(range(1, 3)):
-        table = PairTable(2, dict(seed))
-        for node in order:
-            table = evolve_node(table, two_node, node)
-        probs = {}
-        for (_, c), w in table.entries.items():
-            probs[c] = probs.get(c, 0.0) + w
-        results.append(probs)
-    for config in range(4):
-        assert results[0].get(config, 0.0) == pytest.approx(
-            results[1].get(config, 0.0), abs=1e-12)
 
 
 def test_zero_triggers_factorize():

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from cascadeq import NetworkModel, ValidationError, evaluate, evaluate_mc, sample_trajectory
+from cascadeq import NetworkModel, ValidationError, evaluate, evaluate_mc
 from helpers import random_model
 
 
 def test_deterministic_failure():
     model = NetworkModel.from_triggers([1.0], [0.0], {})
-    rng = np.random.default_rng(0)
     for horizon in (1, 3, 7):
-        assert sample_trajectory(model, horizon, rng) == 1
+        assert evaluate_mc(model, horizon, 100, seed=0).counts == {1: 100}
 
 
 def test_all_zero_probabilities_stay_good():
     model = NetworkModel.from_triggers([0.0, 0.0], [0.0, 0.0], {})
-    rng = np.random.default_rng(0)
-    assert sample_trajectory(model, 5, rng) == 0
+    assert evaluate_mc(model, 5, 100, seed=0).counts == {0: 100}
 
 
 def test_counts_sum_to_runs(two_node):
@@ -50,8 +48,7 @@ def test_worker_equivalent_chunk_streams(two_node):
     for index in range(3):
         size = min(mc.CHUNK_SIZE, runs - done)
         rng = np.random.default_rng((1, index))
-        configs = mc._sample_chunk(np.asarray(two_node.p_fail), np.asarray(two_node.p_recover),
-                                   np.asarray(two_node.p_trigger), 2, size, rng)
+        configs = mc._sample_chunk(two_node, 2, size, rng)
         for value, count in zip(*np.unique(configs, return_counts=True)):
             counts[int(value)] = counts.get(int(value), 0) + int(count)
         done += size

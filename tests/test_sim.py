@@ -18,7 +18,7 @@ from cascadeq import (
     marginal_probability,
     probabilities,
     run,
-    run_noisy_lowdepth,
+    run_schedule,
     sample_counts,
 )
 from cascadeq.sim import apply_gates, sample_marked
@@ -47,6 +47,9 @@ def test_dimension_mismatch():
 def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         run(Circuit(21, ()))
+    # 16 * 2^27 bytes is past the dense byte budget; raised before allocating
+    with pytest.raises(ResourceLimitError):
+        run(Circuit(27, ()), qubit_cap=40)
     with pytest.raises(ResourceLimitError):
         extract_unitary(Circuit(11, ()))
 
@@ -116,6 +119,9 @@ def test_sample_counts_behaviour(two_node):
     assert counts == sample_counts(state, circuit.register(2), 1000, seed=4)
     single = sample_counts(state, circuit.register(2), 1, seed=1)
     assert sorted(single.values()) == [1]
+    with pytest.raises(ValidationError) as err:
+        sample_counts(state, circuit.register(2), 10, seed=-1)
+    assert err.value.code == "invalid-seed"
 
 
 def test_sample_counts_deterministic_state():
@@ -170,40 +176,31 @@ def test_noise_spec_validation():
 
 
 def test_noiseless_channel_matches_distribution(two_node):
-    circuit = build_model_circuit(two_node, 3)
-    grover = build_grover(two_node, 3, GroverSpec.from_config("01", 3))
     spec = GroverSpec.from_config("01", 3)
     shots = 50_000
-    count = run_noisy_lowdepth(circuit, grover, 0, shots, NoiseSpec(0.0, seed=8),
-                               spec.matches, circuit.register(3))
+    trace = run_schedule(two_node, 3, spec, [0], shots, noise=NoiseSpec(0.0), seed=8)
     p = evaluate(two_node, 3)[3].probability(1)
-    assert abs(count / shots - p) <= 4.0 * math.sqrt(p * (1 - p) / shots)
+    assert abs(trace.marked[0] / shots - p) <= 4.0 * math.sqrt(p * (1 - p) / shots)
 
 
 def test_fully_scrambled_channel_hits_marked_fraction():
     model = NetworkModel.from_triggers([1.0], [0.0], {})
-    circuit = build_model_circuit(model, 1)
     spec = GroverSpec.from_config("1", 1)
-    grover = build_grover(model, 1, spec)
     shots = 50_000
-    count = run_noisy_lowdepth(circuit, grover, 1, shots, NoiseSpec(1.0, seed=3),
-                               spec.matches, circuit.register(1))
-    assert abs(count / shots - 0.5) <= 4.0 * math.sqrt(0.25 / shots)
+    trace = run_schedule(model, 1, spec, [1], shots, noise=NoiseSpec(1.0), seed=3)
+    assert abs(trace.marked[0] / shots - 0.5) <= 4.0 * math.sqrt(0.25 / shots)
 
 
 def test_survival_fraction_tracks_power():
     # clean shots always measure marked (p_fail = 1), scrambled ones half the
     # time, so the marked fraction pins the empirical survival rate
     model = NetworkModel.from_triggers([1.0], [0.0], {})
-    circuit = build_model_circuit(model, 1)
     spec = GroverSpec.from_config("1", 1)
-    grover = build_grover(model, 1, spec)
     epsilon = 0.3
     shots = 100_000
-    for power in (1, 2, 4):
-        count = run_noisy_lowdepth(circuit, grover, power, shots,
-                                   NoiseSpec(epsilon, seed=(41, power)),
-                                   spec.matches, circuit.register(1))
+    powers = (1, 2, 4)
+    trace = run_schedule(model, 1, spec, powers, shots, noise=NoiseSpec(epsilon), seed=41)
+    for power, count in zip(powers, trace.marked):
         survival = (1.0 - epsilon) ** power
         expectation = survival + (1.0 - survival) * 0.5
         sigma = math.sqrt(expectation * (1.0 - expectation) / shots)
