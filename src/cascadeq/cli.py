@@ -190,11 +190,13 @@ def _cmd_mc(args):
         ],
     }
     if args.repeats > 1:
-        spread = {}
-        for c in range(1 << k):
-            values = [r.estimates.get(c, 0.0) for r in repeats]
-            spread[format_config(c, k)] = float(np.std(values))
-        results["spread"] = spread
+        # a configuration no repeat saw has spread exactly 0.0 and is left out
+        estimates = [r.estimates for r in repeats]
+        seen = sorted(set().union(*estimates))
+        results["spread"] = {
+            format_config(c, k): float(np.std([e.get(c, 0.0) for e in estimates]))
+            for c in seen
+        }
     inputs = {"model": args.model, "steps": args.steps, "runs": args.runs,
               "seed": args.seed, "repeats": args.repeats}
     return "mc", inputs, results, None, None

@@ -8,7 +8,8 @@ messages.
 from __future__ import annotations
 
 DENSE_BYTE_BUDGET = 1 << 30
-"""Most bytes the exact step matrix or a statevector may take (1 GiB)."""
+"""Most bytes the exact step matrix fold or a statevector path may peak at
+(1 GiB)."""
 
 
 class CascadeqError(Exception):
@@ -35,7 +36,8 @@ class ParseError(CascadeqError, ValueError):
 
 
 class ResourceLimitError(CascadeqError, RuntimeError):
-    """Requested simulation exceeds the qubit cap or the dense byte budget."""
+    """Requested simulation exceeds the qubit cap, the dense byte budget, or
+    the 63 nodes of a Monte Carlo configuration integer."""
 
     code = "resource-limit"
 

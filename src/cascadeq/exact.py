@@ -53,8 +53,7 @@ def _step_matrix(model: NetworkModel) -> np.ndarray:
     into a node-n-good half weighted 1 - p_on and a node-n-failed half
     weighted p_on, so the column index holds the new states of nodes 1..n."""
     size = 1 << model.k
-    failed = (np.arange(size)[:, None] >> np.arange(model.k)) & 1 == 1
-    on = p_on(model, failed)
+    on = p_on(model, np.arange(size))
     table = np.ones((size, 1))
     for n in range(model.k):
         width = table.shape[1]

@@ -120,14 +120,16 @@ def validate(model: NetworkModel) -> None:
             )
 
 
-def p_on(model: NetworkModel, failed: np.ndarray) -> np.ndarray:
+def p_on(model: NetworkModel, configs: np.ndarray) -> np.ndarray:
     """Probability that each node is failed after one step.
 
-    ``failed`` is a (..., k) bool array of the nodes failed before the step.
-    A failed node stays failed with 1 - p_recover; a good node stays good
-    with (1 - p_fail) * prod(1 - p_trigger[m][n]) over the failed nodes m,
-    multiplied in node order.
+    ``configs`` is an integer array of the configurations before the step
+    (node 1 in the least-significant bit); the result has one more axis, of
+    length k. A failed node stays failed with 1 - p_recover; a good node
+    stays good with (1 - p_fail) * prod(1 - p_trigger[m][n]) over the failed
+    nodes m, multiplied in node order.
     """
+    failed = (np.asarray(configs, dtype=np.int64)[..., None] >> np.arange(model.k)) & 1 == 1
     p_off = np.broadcast_to(1.0 - np.asarray(model.p_fail), failed.shape).copy()
     trigger = np.asarray(model.p_trigger)
     for m in range(model.k):

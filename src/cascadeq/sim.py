@@ -33,6 +33,10 @@ __all__ = [
 DEFAULT_QUBIT_CAP = 20
 _EXTRACT_CAP = 10
 
+_RUN_PEAK = 2.65
+"""Peak bytes of :func:`run` as a multiple of the 16 * 2^n of its state
+(tracemalloc: 2.51-2.65 at 16-20 qubits, from the 2x2 update temporaries)."""
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -112,9 +116,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None,
         qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Statevector after the whole circuit, starting from |0...0> by default."""
     n = circuit.n_qubits
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceed the cap of {qubit_cap}")
-    check_dense_bytes(16 << n, f"a {n}-qubit statevector")
+    check_statevector_size(n, qubit_cap, _RUN_PEAK, "a statevector run")
     dim = 1 << n
     if initial is None:
         state = np.zeros(dim, dtype=complex)
@@ -132,6 +134,15 @@ def run(circuit: Circuit, initial: np.ndarray | None = None,
     if initial is None and abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"statevector norm drifted to {norm!r}", code="norm-drift")
     return state
+
+
+def check_statevector_size(n: int, qubit_cap: int, peak: float, what: str) -> None:
+    """Raise ResourceLimitError before ``what`` allocates, if its ``n`` qubits
+    pass ``qubit_cap`` or its peak of ``peak`` times the 16 * 2^n bytes of one
+    statevector passes ``DENSE_BYTE_BUDGET``."""
+    if n > qubit_cap:
+        raise ResourceLimitError(f"{n} qubits exceed the cap of {qubit_cap}")
+    check_dense_bytes(int(peak * (16 << n)), f"{what} on {n} qubits")
 
 
 def probabilities(state: np.ndarray, qubits: Sequence[int]) -> np.ndarray:

@@ -14,6 +14,16 @@ import numpy as np
 from cascadeq import NetworkModel
 
 
+def stay_good_probability(model: NetworkModel, prev: int, n: int) -> float:
+    """Probability that node n (0-based), good in ``prev``, is still good one
+    step later: it neither fails nor is triggered by any failed node."""
+    p_off = 1.0 - model.p_fail[n]
+    for m in range(model.k):
+        if (prev >> m) & 1:
+            p_off *= 1.0 - model.p_trigger[m][n]
+    return p_off
+
+
 def step_probability(model: NetworkModel, prev: int, cur: int) -> float:
     """One-step transition probability computed directly from the rules."""
     p = 1.0
@@ -23,12 +33,34 @@ def step_probability(model: NetworkModel, prev: int, cur: int) -> float:
         if prev_failed:
             p *= (1.0 - model.p_recover[n]) if cur_failed else model.p_recover[n]
         else:
-            p_off = 1.0 - model.p_fail[n]
-            for m in range(model.k):
-                if (prev >> m) & 1:
-                    p_off *= 1.0 - model.p_trigger[m][n]
+            p_off = stay_good_probability(model, prev, n)
             p *= (1.0 - p_off) if cur_failed else p_off
     return p
+
+
+def sample_trajectories(model: NetworkModel, horizon: int, count: int,
+                        rng: np.random.Generator) -> list[int]:
+    """Final configurations of ``count`` trajectories, one node at a time.
+
+    Each step draws ``rng.random((count, k))``; node n of trajectory i is
+    failed after the step when its draw is below the node's probability of
+    being failed, so the stream and the comparisons are those of the
+    package's Monte Carlo sampler.
+    """
+    configs = [0] * count
+    for _ in range(horizon):
+        draws = rng.random((count, model.k))
+        for i, prev in enumerate(configs):
+            cur = 0
+            for n in range(model.k):
+                if (prev >> n) & 1:
+                    on = 1.0 - model.p_recover[n]
+                else:
+                    on = 1.0 - stay_good_probability(model, prev, n)
+                if draws[i, n] < on:
+                    cur |= 1 << n
+            configs[i] = cur
+    return configs
 
 
 def enumerate_distribution(model: NetworkModel, horizon: int) -> dict[int, float]:

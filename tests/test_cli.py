@@ -274,6 +274,47 @@ def test_dense_engine_over_byte_budget_exits_2(capsys, tmp_path, k, args):
     assert captured.out == ""
 
 
+def test_eigenphase_over_its_peak_budget_exits_2_before_allocating(capsys, tmp_path,
+                                                                   monkeypatch):
+    # a 23-qubit state is 128 MiB, but the eigenphase peaks at about nine
+    # states, past the 1 GiB budget; the refusal must come before the run
+    import cascadeq.qae
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the statevector was allocated")
+
+    monkeypatch.setattr(cascadeq.qae, "run", no_run)
+    path = tmp_path / "model.json"
+    path.write_text(save_model(NetworkModel.from_triggers([0.1] * 23, [0.5] * 23, {})))
+    code = main(["qae", "--model", str(path), "--steps", "1", "--config", "*" * 22 + "1",
+                 "--eigenphase", "--qubit-cap", "40"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_mc_past_63_nodes_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(save_model(NetworkModel.from_triggers([0.1] * 64, [0.5] * 64, {})))
+    code = main(["mc", "--model", str(path), "--steps", "1", "--runs", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_mc_spread_lists_only_observed_configurations(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(save_model(NetworkModel.from_triggers([0.1] * 18, [0.5] * 18, {(1, 2): 0.3})))
+    report = report_of(capsys, "mc", "--model", str(path), "--steps", "3", "--runs", "10",
+                       "--seed", "4", "--repeats", "2")
+    results = report["results"]
+    seen = set().union(*(rep["counts"] for rep in results["repeats"]))
+    assert 1 <= len(results["spread"]) <= 20
+    assert set(results["spread"]) == seen
+
+
 def test_config_length_checked(capsys, fixtures_dir):
     code, _ = run_cli(capsys, "qae", "--model",
                       model_path(fixtures_dir, "two_node_model.json"), "--steps", "3",

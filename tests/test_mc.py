@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cascadeq import NetworkModel, ValidationError, evaluate, evaluate_mc
-from helpers import random_model
+import cascadeq.mc as mc
+from cascadeq import NetworkModel, ResourceLimitError, ValidationError, evaluate, evaluate_mc
+from helpers import random_model, sample_trajectories
 
 
 def test_deterministic_failure():
@@ -39,8 +40,6 @@ def test_determinism_under_seed(two_node):
 
 def test_worker_equivalent_chunk_streams(two_node):
     # a worker pool that owns chunks (seed, index) must reproduce the serial result
-    import cascadeq.mc as mc
-
     runs = mc.CHUNK_SIZE * 2 + 500
     baseline = evaluate_mc(two_node, 2, runs, seed=1)
     counts: dict[int, int] = {}
@@ -53,6 +52,18 @@ def test_worker_equivalent_chunk_streams(two_node):
             counts[int(value)] = counts.get(int(value), 0) + int(count)
         done += size
     assert counts == baseline.counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_chunk_matches_plain_sampler(seed):
+    # same draws, same per-node probabilities, same comparisons: equal configurations
+    rng = np.random.default_rng(seed)
+    for k in range(1, 7):
+        model = random_model(rng, k)
+        horizon = int(rng.integers(0, 5))
+        got = mc._sample_chunk(model, horizon, 777, np.random.default_rng((seed, k)))
+        want = sample_trajectories(model, horizon, 777, np.random.default_rng((seed, k)))
+        assert np.array_equal(got, want)
 
 
 def test_estimates_close_to_exact_random_models():
@@ -88,3 +99,14 @@ def test_validation(two_node):
         evaluate_mc(two_node, 3, 0, seed=0)
     with pytest.raises(ValidationError):
         evaluate_mc(two_node, -1, 10, seed=0)
+
+
+def test_refuses_more_nodes_than_an_int64_configuration_holds():
+    def chain(k):
+        return NetworkModel.from_triggers([0.1] * k, [0.5] * k, {(1, k): 0.3})
+
+    with pytest.raises(ResourceLimitError):
+        evaluate_mc(chain(64), 1, 5, seed=0)
+    result = evaluate_mc(chain(63), 2, 5, seed=0)
+    assert sum(result.counts.values()) == 5
+    assert all(0 <= c < 1 << 63 for c in result.counts)

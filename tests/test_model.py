@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from cascadeq import (
     save_model,
     validate,
 )
+from cascadeq.model import p_on
+from helpers import random_model, step_probability
 
 
 def test_validate_accepts_worked_example(two_node):
@@ -140,3 +143,16 @@ def test_parse_config_rejects_junk():
         parse_config("1x0")
     with pytest.raises(ParseError):
         parse_config("")
+
+
+def test_p_on_matches_step_probability_marginals():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 4):
+        model = random_model(rng, k)
+        on = p_on(model, np.arange(1 << k))
+        assert on.shape == (1 << k, k)
+        for prev in range(1 << k):
+            for n in range(k):
+                marginal = sum(step_probability(model, prev, cur)
+                               for cur in range(1 << k) if (cur >> n) & 1)
+                assert abs(on[prev, n] - marginal) <= 1e-15

@@ -50,6 +50,9 @@ def test_resource_limit():
     # 16 * 2^27 bytes is past the dense byte budget; raised before allocating
     with pytest.raises(ResourceLimitError):
         run(Circuit(27, ()), qubit_cap=40)
+    # a 25-qubit state fits, but a run peaks at about 2.6 states
+    with pytest.raises(ResourceLimitError):
+        run(Circuit(25, ()), qubit_cap=40)
     with pytest.raises(ResourceLimitError):
         extract_unitary(Circuit(11, ()))
 
