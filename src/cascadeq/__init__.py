@@ -10,9 +10,6 @@ from .circuit import (
     build_qae_circuit,
     emit_gates,
     parse_gates,
-    theta_init,
-    theta_recover,
-    theta_trigger,
 )
 from .errors import (
     CascadeqError,

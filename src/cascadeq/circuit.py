@@ -3,7 +3,9 @@
 Qubit layout for a model circuit with k nodes and horizon T: node n at step
 t (both 1-based) sits on qubit (t-1)*k + (n-1), so node 1 of each register
 is least significant and measured register strings match the configuration
-convention of :mod:`cascadeq.model`.
+convention of :mod:`cascadeq.model`. The model circuit's rotation angles
+come from :func:`cascadeq.model.p_on`, the per-step transition rule the
+exact and Monte Carlo engines apply, so all three engines share one rule.
 
 Gate kinds:
 
@@ -24,19 +26,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
-from .model import NetworkModel, validate
+from .model import NetworkModel, p_on, validate
 
 __all__ = [
     "Gate",
     "Circuit",
     "GroverSpec",
-    "theta_init",
-    "theta_recover",
-    "theta_trigger",
-    "trigger_ancestors",
     "build_model_circuit",
     "build_grover",
     "build_qae_circuit",
@@ -174,69 +174,48 @@ class GroverSpec:
         return all((config >> (n - 1)) & 1 == b for n, b in self.marked)
 
 
-# --- rotation angles ---------------------------------------------------------
-
-def _check_unit(p: float, what: str) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"{what} = {p!r} outside [0, 1]", code="out-of-range")
-
-
-def theta_init(p_fail: float) -> float:
-    """Rotation preparing failure probability p from |0>: 2*arcsin(sqrt(p))."""
-    _check_unit(p_fail, "p_fail")
-    return 2.0 * math.asin(math.sqrt(p_fail))
-
-
-def theta_recover(p_fail: float, p_recover: float) -> float:
-    """Extra rotation so a previously failed node stays failed with 1 - p_recover.
-
-    The initial register rotation already placed the node at theta_init, so
-    the controlled correction is 2*arcsin(sqrt(1 - p_recover)) - theta_init.
-    May be negative.
-    """
-    _check_unit(p_fail, "p_fail")
-    _check_unit(p_recover, "p_recover")
-    return 2.0 * math.asin(math.sqrt(1.0 - p_recover)) - 2.0 * math.asin(math.sqrt(p_fail))
-
-
-def trigger_ancestors(model: NetworkModel, node: int) -> tuple[int, ...]:
-    """Nodes with a nonzero trigger edge into ``node``, ascending (1-based)."""
-    if not (1 <= node <= model.k):
-        raise ValidationError(f"node {node} outside 1..{model.k}", code="invalid-node-index")
-    return tuple(m + 1 for m in range(model.k) if model.p_trigger[m][node - 1] > 0.0)
-
-
-def theta_trigger(model: NetworkModel, node: int, active: Iterable[int]) -> float:
-    """Extra rotation for a good node given the set of failed trigger ancestors.
-
-    p_off = (1 - p_fail[node]) * prod(1 - p_trigger[m][node]) over active m;
-    the gate angle is 2*arcsin(sqrt(1 - p_off)) - theta_init(p_fail[node]).
-    """
-    if not (1 <= node <= model.k):
-        raise ValidationError(f"node {node} outside 1..{model.k}", code="invalid-node-index")
-    p_fail = model.p_fail[node - 1]
-    factor = 1.0
-    for m in active:
-        if not (1 <= m <= model.k) or m == node:
-            raise ValidationError(f"ancestor {m} invalid for node {node}",
-                                  code="invalid-node-index")
-        factor *= 1.0 - model.p_trigger[m - 1][node - 1]
-    if factor == 1.0:
-        return 0.0  # no effective trigger: the init rotation already fits
-    p_off = (1.0 - p_fail) * factor
-    return 2.0 * math.asin(math.sqrt(1.0 - p_off)) - 2.0 * math.asin(math.sqrt(p_fail))
-
-
 # --- builders ----------------------------------------------------------------
+
+def _corrections(model: NetworkModel, node: int, init: float) -> list[tuple[tuple, float]]:
+    """Controlled rotations of ``node`` (0-based) across one step, in gate order.
+
+    Each entry is (controls as (node, polarity) pairs, angle). The angle
+    lifts the init rotation to 2*arcsin(sqrt(p_on)) for the controlling
+    configuration: first the node itself failed, then each nonzero pattern
+    of its trigger ancestors with the node good. A pattern whose p_on equals
+    the no-ancestor-failed value needs no gate.
+    """
+    ancestors = [m for m in range(model.k) if model.p_trigger[m][node] > 0.0]
+    # p_on on the sub-model of the node and its ancestors, in node order, so
+    # configurations need |A| + 1 bits whatever k is and the products match
+    keep = sorted(ancestors + [node])
+    sub = NetworkModel(tuple(model.p_fail[m] for m in keep),
+                       tuple(model.p_recover[m] for m in keep),
+                       tuple(tuple(model.p_trigger[a][b] for b in keep) for a in keep))
+    bit = {m: 1 << i for i, m in enumerate(keep)}
+    configs = [sum(bit[m] for j, m in enumerate(ancestors) if (pattern >> j) & 1)
+               for pattern in range(1 << len(ancestors))]
+    p_failed, *p_good = p_on(sub, np.array([bit[node]] + configs))[:, keep.index(node)].tolist()
+    out = [(((node, 1),), 2.0 * math.asin(math.sqrt(p_failed)) - init)]
+    for pattern in range(1, len(configs)):
+        if p_good[pattern] != p_good[0]:
+            controls = ((node, 0),) + tuple((m, (pattern >> j) & 1) for j, m in enumerate(ancestors))
+            out.append((controls, 2.0 * math.asin(math.sqrt(p_good[pattern])) - init))
+    return out
+
 
 def build_model_circuit(model: NetworkModel, horizon: int) -> Circuit:
     """Circuit whose register-t measurement distribution equals the exact step-t table.
 
-    All per-register initialization rotations are hoisted to the front; then
-    each step transition adds, per node, a 1-controlled recovery rotation and
-    one multi-controlled rotation per nonempty configuration of the node's
-    trigger ancestors (open control on the node itself, polarities matching
-    the configuration).
+    All per-register initialization rotations 2*arcsin(sqrt(p_fail)) are
+    hoisted to the front. Each step transition then adds, per node, the
+    rotations that take it to the failure probability ``model.p_on`` gives
+    for the previous register: a 1-controlled recovery rotation, and one
+    multi-controlled rotation per nonempty configuration of the node's
+    trigger ancestors (the nodes with a nonzero trigger into it, ascending),
+    with an open control on the node itself and polarities matching the
+    configuration. Every correction angle is
+    2*arcsin(sqrt(p_on)) - 2*arcsin(sqrt(p_fail)).
     """
     validate(model)
     if horizon < 1:
@@ -244,25 +223,18 @@ def build_model_circuit(model: NetworkModel, horizon: int) -> Circuit:
     k = model.k
     layout = {(n, t): (t - 1) * k + (n - 1) for t in range(1, horizon + 1)
               for n in range(1, k + 1)}
+    init = [2.0 * math.asin(math.sqrt(p)) for p in model.p_fail]
+    corrections = [_corrections(model, n, init[n]) for n in range(k)]
     gates: list[Gate] = []
     for t in range(1, horizon + 1):
         for n in range(1, k + 1):
-            gates.append(Gate("ry", (layout[(n, t)],), angle=theta_init(model.p_fail[n - 1])))
+            gates.append(Gate("ry", (layout[(n, t)],), angle=init[n - 1]))
     for t in range(1, horizon):
         for n in range(1, k + 1):
-            target = layout[(n, t + 1)]
-            gates.append(Gate("ry", (target,), ((layout[(n, t)], 1),),
-                              angle=theta_recover(model.p_fail[n - 1], model.p_recover[n - 1])))
-            ancestors = trigger_ancestors(model, n)
-            for pattern in range(1, 1 << len(ancestors)):
-                active = [m for j, m in enumerate(ancestors) if (pattern >> j) & 1]
-                angle = theta_trigger(model, n, active)
-                if angle == 0.0:
-                    continue
-                controls = [(layout[(n, t)], 0)]
-                controls += [(layout[(m, t)], (pattern >> j) & 1)
-                             for j, m in enumerate(ancestors)]
-                gates.append(Gate("ry", (target,), tuple(controls), angle=angle))
+            for controls, angle in corrections[n - 1]:
+                gates.append(Gate("ry", (layout[(n, t + 1)],),
+                                  tuple((layout[(m + 1, t)], pol) for m, pol in controls),
+                                  angle=angle))
     return Circuit(k * horizon, tuple(gates), layout)
 
 

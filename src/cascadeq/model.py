@@ -194,6 +194,13 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -
         raise ParseError(f"{what} is missing field(s) {sorted(missing)}")
 
 
+def _require_number(value, what: str):
+    # NetworkModel's float() would take "0.2" and true as 0.2 and 1.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, not {value!r}")
+    return value
+
+
 def load_model(text: str) -> NetworkModel:
     """Parse and validate a model file; see the module docstring for the format."""
     try:
@@ -215,8 +222,8 @@ def load_model(text: str) -> NetworkModel:
         if not isinstance(node["name"], str):
             raise ParseError(f"node entry {i}: 'name' must be a string")
         names.append(node["name"])
-        p_fail.append(node["p_fail"])
-        p_recover.append(node["p_recover"])
+        p_fail.append(_require_number(node["p_fail"], f"node entry {i}: 'p_fail'"))
+        p_recover.append(_require_number(node["p_recover"], f"node entry {i}: 'p_recover'"))
     if len(set(names)) != len(names):
         raise ParseError("node names must be unique")
     index = {name: i for i, name in enumerate(names)}
@@ -231,13 +238,15 @@ def load_model(text: str) -> NetworkModel:
             raise ParseError(f"trigger entry {i} must be an object")
         _require_keys(trig, {"from", "to", "p"}, {"from", "to", "p"}, f"trigger entry {i}")
         for key in ("from", "to"):
+            if not isinstance(trig[key], str):
+                raise ParseError(f"trigger entry {i}: '{key}' must be a string")
             if trig[key] not in index:
                 raise ParseError(f"trigger entry {i}: unknown node name {trig[key]!r}")
         m, n = index[trig["from"]], index[trig["to"]]
         if (m, n) in seen:
             raise ParseError(f"trigger entry {i}: duplicate edge {trig['from']!r}->{trig['to']!r}")
         seen.add((m, n))
-        matrix[m][n] = trig["p"]
+        matrix[m][n] = _require_number(trig["p"], f"trigger entry {i}: 'p'")
     model = NetworkModel(tuple(p_fail), tuple(p_recover),
                          tuple(tuple(row) for row in matrix), tuple(names))
     validate(model)

@@ -10,7 +10,14 @@ import numpy as np
 from .circuit import GroverSpec, build_grover, build_model_circuit, build_qae_circuit
 from .errors import DegenerateSubspaceError, ValidationError
 from .model import NetworkModel, seed_tuple
-from .sim import DEFAULT_QUBIT_CAP, apply_gates, check_statevector_size, run, sample_counts
+from .sim import (
+    DEFAULT_QUBIT_CAP,
+    apply_gates,
+    check_run_size,
+    check_statevector_size,
+    run,
+    sample_counts,
+)
 
 __all__ = [
     "QaeResult",
@@ -69,6 +76,10 @@ def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: 
                      shots: int, seed, qubit_cap: int = DEFAULT_QUBIT_CAP) -> QaeResult:
     """Sample the phase-estimation ancillas and decode the most frequent outcome."""
     seeds = seed_tuple(seed)
+    # the circuit applies the Grover operator 2^bits - 1 times, so refuse an
+    # oversized run before building it; bad sizes are left to the builder
+    if horizon >= 1 and bits >= 1:
+        check_run_size(model.k * horizon + bits, qubit_cap)
     circuit = build_qae_circuit(model, horizon, spec, bits)
     state = run(circuit, qubit_cap=qubit_cap)
     counts = sample_counts(state, circuit.ancillas, shots, seeds)

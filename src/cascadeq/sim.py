@@ -22,6 +22,7 @@ __all__ = [
     "DEFAULT_QUBIT_CAP",
     "NoiseSpec",
     "run",
+    "check_run_size",
     "apply_gates",
     "probabilities",
     "marginal_probability",
@@ -116,7 +117,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None,
         qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Statevector after the whole circuit, starting from |0...0> by default."""
     n = circuit.n_qubits
-    check_statevector_size(n, qubit_cap, _RUN_PEAK, "a statevector run")
+    check_run_size(n, qubit_cap)
     dim = 1 << n
     if initial is None:
         state = np.zeros(dim, dtype=complex)
@@ -134,6 +135,12 @@ def run(circuit: Circuit, initial: np.ndarray | None = None,
     if initial is None and abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"statevector norm drifted to {norm!r}", code="norm-drift")
     return state
+
+
+def check_run_size(n: int, qubit_cap: int = DEFAULT_QUBIT_CAP) -> None:
+    """Raise ResourceLimitError if :func:`run` on ``n`` qubits would be refused,
+    so a caller can refuse before it builds the circuit."""
+    check_statevector_size(n, qubit_cap, _RUN_PEAK, "a statevector run")
 
 
 def check_statevector_size(n: int, qubit_cap: int, peak: float, what: str) -> None:

@@ -17,38 +17,8 @@ from cascadeq import (
     emit_gates,
     extract_unitary,
     parse_gates,
-    theta_init,
-    theta_recover,
-    theta_trigger,
 )
-from cascadeq.circuit import controlled_gates, inverse_gates, inverse_qft_gates, trigger_ancestors
-
-
-def test_theta_init_values():
-    assert theta_init(0.2) == pytest.approx(0.927, abs=1e-3)
-    assert theta_init(0.7) == pytest.approx(1.982, abs=1e-3)
-    assert theta_init(0.0) == 0.0
-    assert theta_init(1.0) == pytest.approx(math.pi)
-    with pytest.raises(ValidationError):
-        theta_init(1.5)
-
-
-def test_theta_recover_values():
-    assert theta_recover(0.2, 0.3) == pytest.approx(1.055, abs=1e-3)
-    assert theta_recover(0.7, 0.8) == pytest.approx(-1.055, abs=1e-3)
-    for p in (0.0, 0.3, 0.9):
-        assert theta_recover(p, 1.0 - p) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValidationError):
-        theta_recover(0.2, -0.1)
-
-
-def test_theta_trigger_values(two_node):
-    assert theta_trigger(two_node, 1, [2]) == pytest.approx(1.391, abs=1e-3)
-    assert theta_trigger(two_node, 2, [1]) == pytest.approx(0.135, abs=1e-3)
-    assert theta_trigger(two_node, 1, []) == 0.0
-    with pytest.raises(ValidationError):
-        theta_trigger(two_node, 1, [1])  # self-ancestor
-    assert trigger_ancestors(two_node, 1) == (2,)
+from cascadeq.circuit import controlled_gates, inverse_gates, inverse_qft_gates
 
 
 def test_two_node_circuit_matches_diagram(two_node):
@@ -86,6 +56,39 @@ def test_all_zero_model_angles():
     assert all(g.angle == 0.0 for g in init)
     assert [g.angle for g in recovery] == pytest.approx([math.pi, math.pi])
     assert len(circuit.gates) == 6  # no trigger gates
+    # the other boundaries: p_fail = 1 starts at pi; p_recover = 1 - p_fail
+    # keeps its recovery gate at angle 0; a 1e-17 trigger leaves
+    # 1 - p_trigger at 1.0 and so adds no gate
+    model = NetworkModel.from_triggers([1.0, 0.3, 0.9, 0.0], [0.0, 0.7, 0.1, 1.0],
+                                       {(1, 2): 1e-17, (3, 4): 1e-17})
+    circuit = build_model_circuit(model, 2)
+    init = [g for g in circuit.gates if not g.controls]
+    recovery = [g for g in circuit.gates if g.controls]
+    assert init[0].angle == math.pi
+    assert [len(g.controls) for g in recovery] == [1, 1, 1, 1]
+    assert [g.angle for g in recovery] == pytest.approx([0.0] * 4, abs=1e-15)
+
+
+def test_long_chain_circuit():
+    # configurations passed to p_on carry one bit per node of the node's
+    # sub-model, so a model past 64 nodes still builds
+    k = 70
+    model = NetworkModel.from_triggers([0.1] * k, [0.6] * k,
+                                       {(n, n + 1): 0.5 for n in range(1, k)})
+    circuit = build_model_circuit(model, 2)
+    block = circuit.gates[2 * k:]
+    assert len(block) == 2 * k - 1
+    assert all(g.kind == "ry" for g in circuit.gates)
+    expected = [((circuit.qubit(1, 1), 1),)]
+    for n in range(2, k + 1):
+        expected += [((circuit.qubit(n, 1), 1),),
+                     ((circuit.qubit(n, 1), 0), (circuit.qubit(n - 1, 1), 1))]
+    assert [g.controls for g in block] == expected
+    assert [g.targets for g in block] == [(circuit.qubit(n, 2),)
+                                          for n in [1] + [m for m in range(2, k + 1)
+                                                          for _ in (0, 1)]]
+    init = 2 * math.asin(math.sqrt(0.1))
+    assert block[-1].angle == pytest.approx(2 * math.asin(math.sqrt(1 - 0.9 * 0.5)) - init)
 
 
 def test_layout_and_register(two_node):

@@ -294,6 +294,23 @@ def test_eigenphase_over_its_peak_budget_exits_2_before_allocating(capsys, tmp_p
     assert captured.out == ""
 
 
+def test_qae_past_the_qubit_cap_exits_2_before_building(capsys, fixtures_dir, monkeypatch):
+    # 40 ancillas would apply the Grover operator 2^40 - 1 times; the
+    # refusal must come before that circuit is built
+    import cascadeq.qae
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the phase-estimation circuit was built")
+
+    monkeypatch.setattr(cascadeq.qae, "build_qae_circuit", no_build)
+    code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--config", "11", "--bits", "40"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
 def test_mc_past_63_nodes_exits_2(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(save_model(NetworkModel.from_triggers([0.1] * 64, [0.5] * 64, {})))

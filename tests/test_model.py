@@ -62,9 +62,10 @@ def test_load_worked_example(two_node, fixtures_dir):
 
 
 def test_load_single_zero_node():
-    text = json.dumps({"nodes": [{"name": "a", "p_fail": 0, "p_recover": 0}]})
+    text = json.dumps({"nodes": [{"name": "a", "p_fail": 0, "p_recover": 1}]})
     model = load_model(text)
     assert model.k == 1
+    assert model.p_recover == (1.0,)  # the integers 0 and 1 are probabilities
     assert model.p_trigger == ((0.0,),)
 
 
@@ -93,6 +94,15 @@ def test_missing_triggers_means_zero():
                            {"name": "b", "p_fail": 0, "p_recover": 0}],
                  "triggers": [{"from": "a", "to": "b", "p": 0.1},
                               {"from": "a", "to": "b", "p": 0.2}]}), "duplicate"),
+    *[(json.dumps({"nodes": [{"name": "a", "p_fail": bad, "p_recover": 0}]}), "must be a number")
+      for bad in ("abc", None, [0.1], "0.2", True)],
+    (json.dumps({"nodes": [{"name": "a", "p_fail": 0, "p_recover": False}]}), "must be a number"),
+    (json.dumps({"nodes": [{"name": "a", "p_fail": 0, "p_recover": 0},
+                           {"name": "b", "p_fail": 0, "p_recover": 0}],
+                 "triggers": [{"from": "a", "to": "b", "p": "x"}]}), "must be a number"),
+    (json.dumps({"nodes": [{"name": "a", "p_fail": 0, "p_recover": 0},
+                           {"name": "b", "p_fail": 0, "p_recover": 0}],
+                 "triggers": [{"from": ["1"], "to": "b", "p": 0.1}]}), "must be a string"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
