@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, check_dense_bytes
 from .model import NetworkModel, p_on, validate
 
 __all__ = [
@@ -46,6 +46,13 @@ __all__ = [
     "emit_gates",
     "parse_gates",
 ]
+
+_GATE_PEAK = 2800
+"""Peak bytes of a builder per gate it returns. Tracemalloc: 987-2,772 on
+model circuits whose nodes have 8-18 trigger ancestors, the most at T=2
+with 18 ancestors, the most the byte budget admits at this factor; 18-257
+on phase-estimation circuits, whose repeated Grover blocks share their
+gates (257 with the ``circuit`` verb's emitted listing and report)."""
 
 _KINDS_WITH_ANGLE = {"ry", "phase"}
 _KINDS = {"ry", "x", "z", "h", "phase", "s0", "mark"}
@@ -176,6 +183,23 @@ class GroverSpec:
 
 # --- builders ----------------------------------------------------------------
 
+def _ancestors(model: NetworkModel, node: int) -> list[int]:
+    """Trigger ancestors of ``node`` (0-based): the nodes with a nonzero trigger into it."""
+    return [m for m in range(model.k) if model.p_trigger[m][node] > 0.0]
+
+
+def _model_gate_bound(model: NetworkModel, horizon: int) -> int:
+    """Most gates :func:`build_model_circuit` returns: one init rotation per
+    node and step, and per transition at most 2^|A| rotations per node."""
+    per_step = sum(1 << len(_ancestors(model, n)) for n in range(model.k))
+    return model.k * horizon + (horizon - 1) * per_step
+
+
+def _check_gate_count(count: int, what: str) -> None:
+    """Raise ResourceLimitError before building ``count`` gates past the byte budget."""
+    check_dense_bytes(count * _GATE_PEAK, f"{what} of {count} gates")
+
+
 def _corrections(model: NetworkModel, node: int, init: float) -> list[tuple[tuple, float]]:
     """Controlled rotations of ``node`` (0-based) across one step, in gate order.
 
@@ -185,7 +209,7 @@ def _corrections(model: NetworkModel, node: int, init: float) -> list[tuple[tupl
     of its trigger ancestors with the node good. A pattern whose p_on equals
     the no-ancestor-failed value needs no gate.
     """
-    ancestors = [m for m in range(model.k) if model.p_trigger[m][node] > 0.0]
+    ancestors = _ancestors(model, node)
     # p_on on the sub-model of the node and its ancestors, in node order, so
     # configurations need |A| + 1 bits whatever k is and the products match
     keep = sorted(ancestors + [node])
@@ -215,11 +239,13 @@ def build_model_circuit(model: NetworkModel, horizon: int) -> Circuit:
     trigger ancestors (the nodes with a nonzero trigger into it, ascending),
     with an open control on the node itself and polarities matching the
     configuration. Every correction angle is
-    2*arcsin(sqrt(p_on)) - 2*arcsin(sqrt(p_fail)).
+    2*arcsin(sqrt(p_on)) - 2*arcsin(sqrt(p_fail)). A circuit whose gate
+    count bound passes the byte budget is refused before it is built.
     """
     validate(model)
     if horizon < 1:
         raise ValidationError("horizon must be >= 1", code="invalid-horizon")
+    _check_gate_count(_model_gate_bound(model, horizon), "the model circuit")
     k = model.k
     layout = {(n, t): (t - 1) * k + (n - 1) for t in range(1, horizon + 1)
               for n in range(1, k + 1)}
@@ -312,9 +338,19 @@ def build_qae_circuit(model: NetworkModel, horizon: int, spec: GroverSpec,
 
     Ancilla j controls 2^j applications of the Grover operator; the inverse
     Fourier transform then makes outcome y decode as theta = 2*pi*y/2^bits.
+    Its 2^bits - 1 Grover blocks are counted, and an oversized circuit is
+    refused, before any gate is built.
     """
     if bits < 1:
         raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
+    validate(model)
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1", code="invalid-horizon")
+    model_gates = _model_gate_bound(model, horizon)
+    grover_gates = 2 * model_gates + 6  # mark, s0 and the four-gate global minus
+    qft_gates = bits + bits * (bits - 1) // 2 + 3 * (bits // 2)
+    _check_gate_count(bits + model_gates + ((1 << bits) - 1) * grover_gates + qft_gates,
+                      "the phase-estimation circuit")
     base = build_model_circuit(model, horizon)
     grover = build_grover(model, horizon, spec)
     ancillas = tuple(range(base.n_qubits, base.n_qubits + bits))

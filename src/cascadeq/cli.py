@@ -6,8 +6,9 @@ block, and the wall-clock duration. The results block is bit-identical
 across reruns with the same inputs and seeds. ``fit`` and ``lowdepth``
 reports add a ``metrics`` block with each fit's iterations, start count and
 converged flag; a fit that did not converge also prints a warning on
-stderr. ``plotdata`` instead emits CSV series extracted from a previously
-written report.
+stderr. ``qae`` reports add one with the simulated model qubits, their
+statevector bytes and the largest Grover-plane residual. ``plotdata``
+instead emits CSV series extracted from a previously written report.
 
 Exit codes: 0 success, 1 validation/parse problems, 2 resource limit,
 3 fit divergence.
@@ -240,6 +241,12 @@ def _cmd_qae(args):
     spec = _grover_spec(args, model)
     inputs = {"model": args.model, "steps": args.steps, "config": args.config,
               "seed": args.seed, "shots": args.shots}
+
+    def metrics(residual: float) -> dict:
+        qubits = model.k * args.steps  # the model register only, never the ancillas
+        return {"simulated_qubits": qubits, "state_bytes": 16 << qubits,
+                "plane_residual": residual}
+
     if args.eigenphase:
         result = grover_eigenphase(model, args.steps, spec, qubit_cap=args.qubit_cap)
         results = {
@@ -251,9 +258,10 @@ def _cmd_qae(args):
                 "residual": result.residual,
             }
         }
-        return "qae", inputs, results, None, None
+        return "qae", inputs, results, None, metrics(result.residual)
     bits_list = _parse_int_list(args.bits_text)
     sweep = []
+    residual = 0.0
     for bits in bits_list:
         r = run_standard_qae(model, args.steps, spec, bits, args.shots,
                              seed=(args.seed, bits), qubit_cap=args.qubit_cap)
@@ -264,8 +272,9 @@ def _cmd_qae(args):
             "theta": r.theta,
             "probability": r.probability,
         })
+        residual = max(residual, r.residual)
     inputs["bits"] = bits_list
-    return "qae", inputs, {"sweep": sweep}, None, None
+    return "qae", inputs, {"sweep": sweep}, None, metrics(residual)
 
 
 def _exact_theta(model, steps: int, spec: GroverSpec) -> tuple[float, float]:

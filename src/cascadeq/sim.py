@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import ResourceLimitError, ValidationError, check_dense_bytes
+from .errors import DENSE_BYTE_BUDGET, ResourceLimitError, ValidationError, check_dense_bytes
 from .model import seed_tuple
 
 __all__ = [
@@ -149,6 +149,11 @@ def check_statevector_size(n: int, qubit_cap: int, peak: float, what: str) -> No
     statevector passes ``DENSE_BYTE_BUDGET``."""
     if n > qubit_cap:
         raise ResourceLimitError(f"{n} qubits exceed the cap of {qubit_cap}")
+    # 16 * 2^63 bytes is past any budget, and past about n = 1020 the float
+    # product below would overflow
+    if n > 62:
+        raise ResourceLimitError(f"{what} on {n} qubits needs at least 2^67 bytes, "
+                                 f"over the budget of {DENSE_BYTE_BUDGET}")
     check_dense_bytes(int(peak * (16 << n)), f"{what} on {n} qubits")
 
 
@@ -183,9 +188,15 @@ def marginal_probability(state: np.ndarray, qubits: Sequence[int],
 def sample_counts(state: np.ndarray, qubits: Sequence[int], shots: int,
                   seed) -> dict[int, int]:
     """Multinomial draw from the marginal over ``qubits``; keys are outcome ints."""
+    return _draw_counts(probabilities(state, qubits), shots, seed)
+
+
+def _draw_counts(probs: np.ndarray, shots: int, seed) -> dict[int, int]:
+    """Seeded multinomial draw of ``shots`` outcomes from ``probs``, clipped at
+    0 and normalised; keys are the outcome indices drawn at least once."""
     if shots < 1:
         raise ValidationError("shots must be >= 1", code="invalid-shots")
-    probs = np.clip(probabilities(state, qubits), 0.0, None)
+    probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = np.random.default_rng(seed_tuple(seed))
     drawn = rng.multinomial(shots, probs)

@@ -91,6 +91,21 @@ def test_qae_sweep_converges(capsys, fixtures_dir):
     assert sweep[2]["probability"] == pytest.approx(1 / 3, abs=0.03)
 
 
+@pytest.mark.parametrize("mode", [("--bits", "3..5"), ("--eigenphase",)],
+                         ids=["sweep", "eigenphase"])
+def test_qae_metrics_and_rerun(capsys, fixtures_dir, mode):
+    args = ("qae", "--model", model_path(fixtures_dir, "two_node_model.json"), "--steps", "3",
+            "--config", "11", "--seed", "4", *mode)
+    first = report_of(capsys, *args)
+    second = report_of(capsys, *args)
+    assert first["results"] == second["results"]
+    metrics = first["metrics"]
+    assert set(metrics) == {"simulated_qubits", "state_bytes", "plane_residual"}
+    assert metrics["simulated_qubits"] == 6
+    assert metrics["state_bytes"] == 16 * 2 ** 6
+    assert 0.0 <= metrics["plane_residual"] < 1e-8
+
+
 def test_qae_eigenphase(capsys, fixtures_dir):
     report = report_of(capsys, "qae", "--model",
                        model_path(fixtures_dir, "two_node_model.json"), "--steps", "3",
@@ -295,19 +310,86 @@ def test_eigenphase_over_its_peak_budget_exits_2_before_allocating(capsys, tmp_p
 
 
 def test_qae_past_the_qubit_cap_exits_2_before_building(capsys, fixtures_dir, monkeypatch):
-    # 40 ancillas would apply the Grover operator 2^40 - 1 times; the
-    # refusal must come before that circuit is built
+    # 6 model qubits and 40 ancillas pass the cap; the refusal must come
+    # before the Grover plane is computed
     import cascadeq.qae
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("the phase-estimation circuit was built")
+    def no_plane(*args, **kwargs):
+        raise AssertionError("the Grover plane was computed")
 
-    monkeypatch.setattr(cascadeq.qae, "build_qae_circuit", no_build)
+    monkeypatch.setattr(cascadeq.qae, "_grover_plane", no_plane)
     code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
                  "--steps", "3", "--config", "11", "--bits", "40"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_qae_past_a_float_sized_state_exits_2(capsys, fixtures_dir, tmp_path):
+    # 1106 qubits: 16 * 2^1106 bytes is past what a float can hold
+    out = tmp_path / "report.json"
+    code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--config", "11", "--bits", "1100", "--qubit-cap", "2000",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _no_gates(monkeypatch):
+    import cascadeq.circuit
+
+    def no_gate(*args, **kwargs):
+        raise AssertionError("a gate list was built")
+
+    monkeypatch.setattr(cascadeq.circuit, "Gate", no_gate)
+
+
+def test_model_circuit_past_the_gate_budget_exits_2_before_building(capsys, tmp_path,
+                                                                     monkeypatch):
+    # node 1 has 20 trigger ancestors: 2^20 corrections per step, past the
+    # byte budget at any horizon above 1
+    path = tmp_path / "model.json"
+    path.write_text(save_model(NetworkModel.from_triggers(
+        [0.1] * 21, [0.5] * 21, {(m, 1): 0.2 for m in range(2, 22)})))
+    _no_gates(monkeypatch)
+    code = main(["circuit", "--model", str(path), "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_qae_circuit_past_the_gate_budget_exits_2_before_building(capsys, fixtures_dir,
+                                                                   monkeypatch):
+    # 30 ancillas would append 2^30 - 1 Grover blocks
+    _no_gates(monkeypatch)
+    code = main(["circuit", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--kind", "qae", "--config", "11", "--bits", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_qae_plane_leak_exits_1(capsys, fixtures_dir, monkeypatch):
+    # an operator that does not keep the plane must not yield a distribution
+    import cascadeq.qae
+    from cascadeq import Circuit, Gate, build_grover
+
+    def leaky_grover(model, horizon, spec):
+        grover = build_grover(model, horizon, spec)
+        return Circuit(grover.n_qubits, grover.gates + (Gate("h", (0,)),), grover.layout)
+
+    monkeypatch.setattr(cascadeq.qae, "build_grover", leaky_grover)
+    code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--config", "11", "--bits", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error (plane-leak)")
     assert captured.out == ""
 
 

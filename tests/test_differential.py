@@ -2,7 +2,8 @@
 
 Exact propagation, trajectory enumeration, the statevector (built directly
 and through the emitted gate listing), the Grover eigenphase and Monte Carlo
-all describe the same step-T distribution.
+all describe the same step-T distribution, and standard QAE computed on the
+Grover plane gives the phase-estimation circuit's ancilla distribution.
 """
 import math
 
@@ -14,6 +15,7 @@ from cascadeq import (
     GroverSpec,
     NetworkModel,
     build_model_circuit,
+    build_qae_circuit,
     emit_gates,
     evaluate,
     evaluate_mc,
@@ -23,6 +25,7 @@ from cascadeq import (
     probabilities,
     run,
 )
+from cascadeq.qae import _ancilla_distribution
 from helpers import enumerate_distribution
 
 _PROBABILITY = st.floats(0.0, 1.0)
@@ -38,6 +41,11 @@ def models(draw) -> NetworkModel:
 
 
 _HORIZONS = st.integers(1, 3)
+
+
+def _patterns(k: int):
+    return st.lists(st.sampled_from("01*"), min_size=k, max_size=k).filter(
+        lambda p: p != ["*"] * k).map("".join)
 
 
 @settings(max_examples=25, deadline=None)
@@ -60,14 +68,26 @@ def test_exact_enumeration_and_statevector_agree(model, horizon):
 @settings(max_examples=25, deadline=None)
 @given(models(), _HORIZONS, st.data())
 def test_eigenphase_matches_exact_marked_probability(model, horizon, data):
-    pattern = data.draw(st.lists(st.sampled_from("01*"), min_size=model.k,
-                                 max_size=model.k).filter(lambda p: p != ["*"] * model.k))
-    spec = GroverSpec.from_config("".join(pattern), horizon)
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
     nodes, bits = zip(*spec.marked)
     p = marginal(evaluate(model, horizon)[horizon], nodes, bits)
     assume(1e-9 < p < 1.0 - 1e-9)
     assert math.isclose(grover_eigenphase(model, horizon, spec).probability, p,
                         rel_tol=0.0, abs_tol=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(models(), _HORIZONS, st.integers(1, 6), st.data())
+def test_plane_distribution_matches_phase_estimation_circuit(model, horizon, bits, data):
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    nodes, marked = zip(*spec.marked)
+    p = marginal(evaluate(model, horizon)[horizon], nodes, marked)
+    assume(1e-9 < p < 1.0 - 1e-9)
+    circuit = build_qae_circuit(model, horizon, spec, bits)
+    want = probabilities(run(circuit), circuit.ancillas)
+    got, residual = _ancilla_distribution(model, horizon, spec, bits, qubit_cap=20)
+    assert residual < 1e-8
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -105,6 +105,16 @@ def test_qae_impossible_configuration():
     assert result.probability == 0.0
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_qae_certain_configuration(bits):
+    # the marked event holds with certainty: the Grover operator acts as -1
+    model = NetworkModel.from_triggers([1.0], [0.0], {})
+    result = run_standard_qae(model, 1, GroverSpec.from_config("1", 1), bits,
+                              shots=256, seed=5)
+    assert result.outcome_counts == {1 << (bits - 1): 256}
+    assert result.probability == 1.0
+
+
 def test_eigenphase_matches_published(two_node):
     for config, (theta, re, im, prob) in EIGEN.items():
         result = grover_eigenphase(two_node, 3, GroverSpec.from_config(config, 3))
