@@ -48,7 +48,6 @@ from .model import (
 from .qae import EigenphaseResult, QaeResult, decode_outcome, grover_eigenphase, run_standard_qae
 from .sim import (
     NoiseSpec,
-    extract_unitary,
     marginal_probability,
     probabilities,
     run,

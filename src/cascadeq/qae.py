@@ -42,9 +42,12 @@ _LEAK_BOUND = 1e-8
 """Largest plane residual standard QAE accepts."""
 
 _EIGENPHASE_PEAK = 9.18
-"""Peak bytes of :func:`_grover_plane` as a multiple of the 16 * 2^n of
-one statevector (tracemalloc: 9.07-9.18 at 16-20 qubits, from the marked
-mask, the two basis states and their Grover images)."""
+"""Peak bytes of :func:`_grover_plane` as a multiple of the 16 * 2^n of one
+complex128 statevector. Tracemalloc at 16-20 qubits: 3.00-3.05, from the two
+float64 basis states, their Grover images and the residual's temporaries.
+The factor is the 9.07-9.18 a complex128 plane with an index mask peaked
+at; it bounds the float64 path from above, and lowering it would admit one
+more qubit."""
 
 
 @dataclass(frozen=True)
@@ -104,14 +107,14 @@ def _grover_plane(model: NetworkModel, horizon: int, spec: GroverSpec,
         check_statevector_size(model.k * horizon, qubit_cap, _EIGENPHASE_PEAK,
                                "the Grover plane")
     base = build_model_circuit(model, horizon)
-    state = run(base, qubit_cap=qubit_cap)
-    mask = _marked_mask(base, spec)
-    marked_part = np.where(mask, state, 0.0)
-    unmarked_part = state - marked_part
-    p = float(np.vdot(marked_part, marked_part).real)
-    v0 = np.sqrt([np.vdot(unmarked_part, unmarked_part).real, p])
-    basis = [part / norm if norm else part
-             for part, norm in zip((unmarked_part, marked_part), v0)]
+    unmarked_part = run(base, qubit_cap=qubit_cap)
+    marked_part = _take_marked(unmarked_part, base, spec)
+    p = float(np.vdot(marked_part, marked_part))
+    v0 = np.sqrt([np.vdot(unmarked_part, unmarked_part), p])
+    basis = (unmarked_part, marked_part)
+    for part, norm in zip(basis, v0):
+        if norm:
+            part /= norm
     grover = build_grover(model, horizon, spec)
     images = [apply_gates(b.copy(), grover.gates, grover.n_qubits) for b in basis]
     m = np.array([[np.vdot(b, g) for g in images] for b in basis])
@@ -170,13 +173,19 @@ def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: 
     return QaeResult(bits, counts, modal, theta, probability, residual)
 
 
-def _marked_mask(circuit, spec: GroverSpec) -> np.ndarray:
-    index = np.arange(1 << circuit.n_qubits)
-    mask = np.ones(index.shape, dtype=bool)
+def _take_marked(state: np.ndarray, circuit, spec: GroverSpec) -> np.ndarray:
+    """Move the marked part of ``state`` into a new array, zeroing it in
+    ``state``, by slicing the [2]*n view on the marked qubits."""
+    n = circuit.n_qubits
+    sel: list = [slice(None)] * n
     for node, bit in spec.marked:
-        qubit = circuit.qubit(node, spec.target_step)
-        mask &= ((index >> qubit) & 1) == bit
-    return mask
+        sel[n - 1 - circuit.qubit(node, spec.target_step)] = bit
+    sel = tuple(sel)
+    view = state.reshape([2] * n)
+    marked = np.zeros_like(state)
+    marked.reshape([2] * n)[sel] = view[sel]
+    view[sel] = 0.0
+    return marked
 
 
 def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
@@ -193,6 +202,6 @@ def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
     if p < 1e-12 or p > 1.0 - 1e-12:
         raise DegenerateSubspaceError(
             f"marked probability {p!r} leaves no two-dimensional rotation plane")
-    theta = math.atan2(m[1, 0].real, m[0, 0].real)
+    theta = math.atan2(m[1, 0], m[0, 0])
     lam = cmath.exp(1j * theta)
     return EigenphaseResult(theta, lam, lam.conjugate(), math.sin(theta / 2.0) ** 2, residual)

@@ -1,10 +1,11 @@
 """Dense statevector simulation of the gate IR.
 
-Basis index bit q is qubit q (qubit 0 least significant). Controlled gates
-are applied by slicing the state tensor on the control axes, so a gate
-costs O(2^n) regardless of its control count. All kernels accept a trailing
-batch axis, which :func:`extract_unitary` uses to push every basis column
-through the circuit at once.
+Basis index bit q is qubit q (qubit 0 least significant). A gate updates the
+``[2]*n`` view of the state in place; controlled gates slice that view on
+their control axes, so a gate costs O(2^n) regardless of its control count.
+Every gate kind but ``phase`` is real and orthogonal, so :func:`run` holds
+the state as float64 when the circuit has no ``phase`` gate and the initial
+state, if given, is real; otherwise it holds complex128.
 """
 from __future__ import annotations
 
@@ -27,16 +28,15 @@ __all__ = [
     "probabilities",
     "marginal_probability",
     "sample_counts",
-    "extract_unitary",
     "sample_marked",
 ]
 
 DEFAULT_QUBIT_CAP = 20
-_EXTRACT_CAP = 10
 
 _RUN_PEAK = 2.65
-"""Peak bytes of :func:`run` as a multiple of the 16 * 2^n of its state
-(tracemalloc: 2.51-2.65 at 16-20 qubits, from the 2x2 update temporaries)."""
+"""Peak bytes of :func:`run` as a multiple of the 16 * 2^n of one complex128
+state (tracemalloc at 16-20 qubits: 2.51-2.65 for a complex128 run, from the
+2x2 update temporaries; 1.25-1.32 for a float64 run, which it bounds too)."""
 
 
 @dataclass(frozen=True)
@@ -64,72 +64,78 @@ def _axis(n: int, qubit: int) -> int:
 
 
 _MATRICES = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "h": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
+    "x": (0.0, 1.0, 1.0, 0.0),
+    "h": tuple(v / math.sqrt(2.0) for v in (1.0, 1.0, 1.0, -1.0)),
 }
 
 
-def _gate_matrix(gate: Gate) -> np.ndarray:
+def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
+    """Entries (u00, u01, u10, u11) of a real 2x2 gate."""
     if gate.kind == "ry":
         c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return c, -s, s, c
     return _MATRICES[gate.kind]
 
 
 def _apply_gate(view: np.ndarray, gate: Gate, n: int) -> None:
-    """Apply one gate in place; ``view`` has shape [2]*n + [batch]."""
-    sel: list = [slice(None)] * (n + 1)
+    """Apply one gate in place; ``view`` has shape [2]*n."""
+    sel: list = [slice(None)] * n
     for q, pol in gate.controls:
         sel[_axis(n, q)] = pol
     if gate.kind in ("ry", "x", "h"):
-        u = _gate_matrix(gate)
+        u00, u01, u10, u11 = _gate_matrix(gate)
         t_ax = _axis(n, gate.targets[0])
-        pos = sum(1 for a in range(t_ax) if isinstance(sel[a], slice))
-        sub = np.moveaxis(view[tuple(sel)], pos, 0)
-        a0 = sub[0].copy()
-        sub[0] = u[0, 0] * a0 + u[0, 1] * sub[1]
-        sub[1] = u[1, 0] * a0 + u[1, 1] * sub[1]
-    elif gate.kind == "z":
-        sel[_axis(n, gate.targets[0])] = 1
-        view[tuple(sel)] *= -1.0
-    elif gate.kind == "phase":
-        sel[_axis(n, gate.targets[0])] = 1
-        view[tuple(sel)] *= complex(math.cos(gate.angle), math.sin(gate.angle))
-    elif gate.kind == "s0":
-        for q in gate.targets:
-            sel[_axis(n, q)] = 0
-        view[tuple(sel)] *= -1.0
-    elif gate.kind == "mark":
-        view[tuple(sel)] *= -1.0
-    else:  # pragma: no cover - Gate constructor rejects unknown kinds
-        raise ValidationError(f"cannot simulate gate kind {gate.kind!r}")
+        # the trailing Ellipsis keeps a fully indexed half a 0-d view
+        lo, hi = (view[(*sel[:t_ax], b, *sel[t_ax + 1:], ...)] for b in (0, 1))
+        a0 = lo.copy()
+        lo[...] = u00 * a0 + u01 * hi
+        hi[...] = u10 * a0 + u11 * hi
+        return
+    # the diagonal kinds: z and phase act where their target is 1, s0 where
+    # every target is 0, mark (no target) wherever its controls hold
+    for q in gate.targets:
+        sel[_axis(n, q)] = 0 if gate.kind == "s0" else 1
+    view[tuple(sel)] *= (complex(math.cos(gate.angle), math.sin(gate.angle))
+                         if gate.kind == "phase" else -1.0)
 
 
 def apply_gates(state: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> np.ndarray:
-    """Apply gates in order to a statevector (or a (2^n, batch) matrix), in place."""
-    batch = state.reshape([2] * n_qubits + [-1])
+    """Apply gates in order to a statevector of 2^n_qubits amplitudes, in place.
+
+    A real state takes real gates only: a ``phase`` gate raises
+    ValidationError (``dtype-mismatch``) before the state is touched.
+    """
+    if not np.iscomplexobj(state) and _has_phase(gates):
+        raise ValidationError("a phase gate needs a complex state", code="dtype-mismatch")
+    view = state.reshape([2] * n_qubits)
     for gate in gates:
-        _apply_gate(batch, gate, n_qubits)
+        _apply_gate(view, gate, n_qubits)
     return state
+
+
+def _has_phase(gates: Sequence[Gate]) -> bool:
+    return any(gate.kind == "phase" for gate in gates)
 
 
 def run(circuit: Circuit, initial: np.ndarray | None = None,
         qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Statevector after the whole circuit, starting from |0...0> by default."""
+    """Statevector after the whole circuit, starting from |0...0> by default;
+    float64 unless the circuit has a ``phase`` gate or ``initial`` is complex."""
     n = circuit.n_qubits
     check_run_size(n, qubit_cap)
     dim = 1 << n
+    real = not _has_phase(circuit.gates)
     if initial is None:
-        state = np.zeros(dim, dtype=complex)
+        state = np.zeros(dim, dtype=float if real else complex)
         state[0] = 1.0
     else:
-        initial = np.asarray(initial, dtype=complex)
+        initial = np.asarray(initial)
         if initial.shape != (dim,):
             raise ValidationError(
                 f"initial state has shape {initial.shape}, expected ({dim},)",
                 code="dimension-mismatch",
             )
-        state = initial.copy()
+        state = initial.astype(float if real and not np.iscomplexobj(initial) else complex)
     apply_gates(state, circuit.gates, n)
     norm = np.linalg.norm(state)
     if initial is None and abs(norm - 1.0) > 1e-10:
@@ -201,16 +207,6 @@ def _draw_counts(probs: np.ndarray, shots: int, seed) -> dict[int, int]:
     rng = np.random.default_rng(seed_tuple(seed))
     drawn = rng.multinomial(shots, probs)
     return {int(v): int(c) for v, c in enumerate(drawn) if c}
-
-
-def extract_unitary(circuit: Circuit, qubit_cap: int = _EXTRACT_CAP) -> np.ndarray:
-    """Full matrix of the circuit, built by evolving every basis column."""
-    n = circuit.n_qubits
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceed the extraction cap of {qubit_cap}")
-    matrix = np.eye(1 << n, dtype=complex)
-    apply_gates(matrix, circuit.gates, n)
-    return matrix
 
 
 def sample_marked(state: np.ndarray, qubits: Sequence[int],

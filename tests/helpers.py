@@ -2,7 +2,9 @@
 
 Nothing here may call into the package's propagation, simulation, or
 fitting paths; expected values must come from first-principles enumeration
-or closed-form expressions.
+or closed-form expressions. The one exception is :func:`extract_unitary`,
+which reads a circuit's matrix through the simulator for the tests that
+check the simulator's gates and the circuit builders against each other.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ import math
 
 import numpy as np
 
-from cascadeq import NetworkModel
+from cascadeq import Circuit, NetworkModel, ResourceLimitError
+from cascadeq.sim import apply_gates
 
 
 def stay_good_probability(model: NetworkModel, prev: int, n: int) -> float:
@@ -105,3 +108,18 @@ def random_model(rng: np.random.Generator, k: int) -> NetworkModel:
     np.fill_diagonal(trigger, 0.0)
     return NetworkModel(tuple(p_fail), tuple(p_recover),
                         tuple(tuple(row) for row in trigger))
+
+
+def extract_unitary(circuit: Circuit, qubit_cap: int = 10) -> np.ndarray:
+    """Full complex matrix of the circuit, one basis column through the
+    simulator at a time."""
+    n = circuit.n_qubits
+    if n > qubit_cap:
+        raise ResourceLimitError(f"{n} qubits exceed the extraction cap of {qubit_cap}")
+    dim = 1 << n
+    matrix = np.empty((dim, dim), dtype=complex)
+    for j in range(dim):
+        column = np.zeros(dim, dtype=complex)
+        column[j] = 1.0
+        matrix[:, j] = apply_gates(column, circuit.gates, n)
+    return matrix

@@ -18,7 +18,6 @@ from cascadeq import (
     decode_outcome,
     evaluate,
     evaluate_mc,
-    extract_unitary,
     fit_noise_model,
     fit_sine,
     grover_eigenphase,
@@ -35,7 +34,7 @@ from cascadeq import (
     trace_to_text,
 )
 from cascadeq.circuit import build_grover
-from helpers import enumerate_distribution, random_model
+from helpers import enumerate_distribution, extract_unitary, random_model
 
 TWO_NODE = NetworkModel.from_triggers([0.2, 0.7], [0.3, 0.8], {(1, 2): 0.2, (2, 1): 0.8})
 ONE_NODE = NetworkModel.from_triggers([0.3], [0.1], {})

@@ -15,10 +15,10 @@ from cascadeq import (
     build_model_circuit,
     build_qae_circuit,
     emit_gates,
-    extract_unitary,
     parse_gates,
 )
 from cascadeq.circuit import controlled_gates, inverse_gates, inverse_qft_gates
+from helpers import extract_unitary
 
 
 def test_two_node_circuit_matches_diagram(two_node):

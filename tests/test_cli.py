@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cascadeq import FitDivergedError, NetworkModel, parse_gates, save_model
-from cascadeq.cli import main
+from cascadeq.cli import _write, main
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -100,10 +100,18 @@ def test_qae_metrics_and_rerun(capsys, fixtures_dir, mode):
     second = report_of(capsys, *args)
     assert first["results"] == second["results"]
     metrics = first["metrics"]
-    assert set(metrics) == {"simulated_qubits", "state_bytes", "plane_residual"}
+    assert set(metrics) == {"simulated_qubits", "dtype", "state_bytes", "plane_residual"}
     assert metrics["simulated_qubits"] == 6
-    assert metrics["state_bytes"] == 16 * 2 ** 6
+    assert metrics["dtype"] == "float64"
+    assert metrics["state_bytes"] == 8 * 2 ** 6
     assert 0.0 <= metrics["plane_residual"] < 1e-8
+
+
+def test_out_rewrites_a_longer_report_exactly(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("x" * 100_000)
+    _write('{"short": 1}\n', str(out))
+    assert out.read_text(encoding="utf-8") == '{"short": 1}\n'
 
 
 def test_qae_eigenphase(capsys, fixtures_dir):

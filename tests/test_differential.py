@@ -3,7 +3,9 @@
 Exact propagation, trajectory enumeration, the statevector (built directly
 and through the emitted gate listing), the Grover eigenphase and Monte Carlo
 all describe the same step-T distribution, and standard QAE computed on the
-Grover plane gives the phase-estimation circuit's ancilla distribution.
+Grover plane gives the phase-estimation circuit's ancilla distribution. The
+float64 statevector of a circuit with no ``phase`` gate is the real part of
+its complex128 run.
 """
 import math
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from cascadeq import (
     GroverSpec,
     NetworkModel,
+    build_grover,
     build_model_circuit,
     build_qae_circuit,
     emit_gates,
@@ -63,6 +66,19 @@ def test_exact_enumeration_and_statevector_agree(model, horizon):
         register = circuit.register(step)
         assert np.allclose(probabilities(state, register), want, rtol=0.0, atol=1e-12)
         assert np.allclose(probabilities(relisted, register), want, rtol=0.0, atol=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(models(), _HORIZONS, st.data())
+def test_real_statevector_is_the_complex_runs_real_part(model, horizon, data):
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    for circuit in (build_model_circuit(model, horizon), build_grover(model, horizon, spec)):
+        zero = np.zeros(1 << circuit.n_qubits, dtype=complex)
+        zero[0] = 1.0
+        real, full = run(circuit), run(circuit, initial=zero)
+        assert real.dtype == np.float64 and full.dtype == np.complex128
+        assert np.array_equal(real, full.real)
+        assert not full.imag.any()
 
 
 @settings(max_examples=25, deadline=None)

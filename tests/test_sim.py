@@ -14,7 +14,6 @@ from cascadeq import (
     build_grover,
     build_model_circuit,
     evaluate,
-    extract_unitary,
     marginal_probability,
     probabilities,
     run,
@@ -22,6 +21,7 @@ from cascadeq import (
     sample_counts,
 )
 from cascadeq.sim import apply_gates, sample_marked
+from helpers import extract_unitary
 
 
 def test_single_rotation_probability():
@@ -36,6 +36,26 @@ def test_empty_circuit_keeps_initial():
     state = run(Circuit(1, ()), initial=initial)
     assert np.array_equal(state, initial)
     assert state is not initial
+
+
+def test_state_dtype_follows_the_phase_gates(two_node):
+    assert run(build_model_circuit(two_node, 2)).dtype == np.float64
+    assert run(Circuit(1, ()), initial=np.array([0.6, 0.8])).dtype == np.float64
+    assert run(Circuit(1, ()), initial=np.array([0.6, 0.8j])).dtype == np.complex128
+    phase = Circuit(1, (Gate("h", (0,)), Gate("phase", (0,), angle=0.4)))
+    state = run(phase)
+    assert state.dtype == np.complex128
+    assert state[1] == pytest.approx(complex(math.cos(0.4), math.sin(0.4)) / math.sqrt(2.0),
+                                     abs=1e-15)
+
+
+def test_phase_gate_on_a_real_state_is_refused_untouched():
+    state = np.array([0.6, 0.8])
+    gates = [Gate("x", (0,)), Gate("phase", (0,), angle=0.4)]
+    with pytest.raises(ValidationError) as err:
+        apply_gates(state, gates, 1)
+    assert err.value.code == "dtype-mismatch"
+    assert np.array_equal(state, [0.6, 0.8])
 
 
 def test_dimension_mismatch():
