@@ -22,7 +22,6 @@ from .errors import (
 )
 from .exact import DistributionTable, evaluate, marginal
 from .lowdepth import (
-    FitConfig,
     FitResult,
     LowDepthTrace,
     fit_noise_model,
@@ -37,8 +36,6 @@ from .lowdepth import (
 from .mc import McResult, evaluate_mc
 from .model import (
     NetworkModel,
-    config_bits,
-    config_int,
     format_config,
     load_model,
     parse_config,
@@ -46,12 +43,6 @@ from .model import (
     validate,
 )
 from .qae import EigenphaseResult, QaeResult, decode_outcome, grover_eigenphase, run_standard_qae
-from .sim import (
-    NoiseSpec,
-    marginal_probability,
-    probabilities,
-    run,
-    sample_counts,
-)
+from .sim import NoiseSpec, probabilities, run
 
 __version__ = "0.1.0"

@@ -171,11 +171,6 @@ class GroverSpec:
             raise ValidationError("pattern marks no node", code="invalid-mark")
         return cls(step, tuple(marked))
 
-    @property
-    def marked_fraction(self) -> float:
-        """Fraction of all basis states the mark selects."""
-        return 2.0 ** -len(self.marked)
-
     def matches(self, config: int) -> bool:
         """Does a register-local configuration integer satisfy the mark?"""
         return all((config >> (n - 1)) & 1 == b for n, b in self.marked)

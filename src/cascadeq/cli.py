@@ -61,6 +61,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         command, inputs, results, payload, metrics = args.handler(args)
+        if payload is None:
+            report = {
+                "tool": {"name": "cascadeq", "version": __version__},
+                "command": command,
+                "inputs": inputs,
+                "results": results,
+                "duration_seconds": time.perf_counter() - started,
+            }
+            if metrics is not None:
+                report["metrics"] = metrics
+            payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _write(payload, args.out)
     except (ParseError, MissingSeriesError) as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 1
@@ -76,18 +88,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return 1
-    if payload is None:
-        report = {
-            "tool": {"name": "cascadeq", "version": __version__},
-            "command": command,
-            "inputs": inputs,
-            "results": results,
-            "duration_seconds": time.perf_counter() - started,
-        }
-        if metrics is not None:
-            report["metrics"] = metrics
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write(payload, args.out)
     return 0
 
 
@@ -107,9 +107,16 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_model_file(path: str):
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return load_model(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _load_model_file(path: str):
+    return load_model(_read_text(path))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -318,22 +325,34 @@ def _cmd_lowdepth(args):
 
 
 def _cmd_fit(args):
-    with open(args.trace, encoding="utf-8") as handle:
-        trace = trace_from_text(handle.read())
+    trace = trace_from_text(_read_text(args.trace))
     fits, metrics = _fit_blocks(trace, args.fix_f)
     results = {"trace": _trace_dict(trace), **fits}
     return "fit", {"trace": args.trace, "fix_f": args.fix_f}, results, None, metrics
 
 
 def _cmd_plotdata(args):
-    with open(args.report, encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"report file is not valid JSON: {exc}") from exc
+    try:
+        report = json.loads(_read_text(args.report))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"report file is not valid JSON: {exc}") from exc
+    try:
+        rows = _plot_rows(args.figure, report)
+    except MissingSeriesError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"report series is malformed: {exc!r}") from exc
+    payload = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
+    return "plotdata", {"report": args.report, "figure": args.figure}, {}, payload, None
+
+
+def _plot_rows(figure: str, report) -> list[tuple]:
+    """CSV rows of one figure's series; a report of the wrong shape raises
+    AttributeError, KeyError, TypeError or ValueError (ValidationError among
+    them)."""
     results = report.get("results", {})
     rows = [("series", "x", "y")]
-    if args.figure == "spread":
+    if figure == "spread":
         repeats = results.get("repeats")
         if not repeats or "runs" not in results:
             raise MissingSeriesError("report has no repeated estimate series")
@@ -341,19 +360,21 @@ def _cmd_plotdata(args):
         for rep in repeats:
             for config, estimate in rep["estimates"].items():
                 rows.append((config, runs, estimate))
-    elif args.figure == "bits":
+    elif figure == "bits":
         sweep = results.get("sweep")
         if not sweep:
             raise MissingSeriesError("report has no resolution sweep series")
         for entry in sweep:
             rows.append(("estimate", entry["bits"], entry["probability"]))
-    elif args.figure == "schedule":
-        trace = results.get("trace")
-        if not trace or not trace.get("schedule"):
+    else:  # schedule; argparse restricts the choices
+        series = results.get("trace")
+        if not series or not series.get("schedule"):
             raise MissingSeriesError("report has no schedule trace series")
-        for power, shots, marked in zip(trace["schedule"], trace["shots"], trace["marked"]):
-            rows.append(("measured", power, marked / shots))
-        grid = np.arange(0.0, max(trace["schedule"]) + _CURVE_STEP / 2, _CURVE_STEP)
+        # the trace checks that the three lists align and hold valid counts
+        trace = LowDepthTrace(series["schedule"], series["shots"], series["marked"])
+        for power, fraction in zip(trace.schedule, trace.fractions):
+            rows.append(("measured", power, fraction))
+        grid = np.arange(0.0, max(trace.schedule) + _CURVE_STEP / 2, _CURVE_STEP)
         if "exact_theta" in results:
             theta = results["exact_theta"]
             for x in grid:
@@ -363,10 +384,7 @@ def _cmd_plotdata(args):
             for x in grid:
                 value = predict(fit["theta"], float(x), fit["a"], min(max(fit["f"], 0.0), 1.0))
                 rows.append(("fitted", round(float(x), 4), value))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown figure {args.figure!r}")
-    payload = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-    return "plotdata", {"report": args.report, "figure": args.figure}, {}, payload, None
+    return rows
 
 
 # --- parser -----------------------------------------------------------------

@@ -28,7 +28,6 @@ from .sim import DEFAULT_QUBIT_CAP, NoiseSpec, apply_gates, run, sample_marked
 __all__ = [
     "LowDepthTrace",
     "FitResult",
-    "FitConfig",
     "predict",
     "run_schedule",
     "fit_sine",
@@ -81,7 +80,7 @@ class FitResult:
 
     ``iterations`` counts the solver iterations of the start that won among
     ``n_starts`` starts; ``converged`` is false when that start was still
-    improving when ``FitConfig.max_iters`` ran out.
+    improving when the iteration budget ran out.
     """
 
     theta: float
@@ -92,21 +91,6 @@ class FitResult:
     iterations: int
     converged: bool
     n_starts: int
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Multi-start grid and Levenberg-Marquardt controls.
-
-    ``tol`` is the relative loss decrease, or the root-mean-square residual,
-    below which a start has converged.
-    """
-
-    theta_starts: tuple[float, ...] = tuple(math.pi * i / 40 for i in range(1, 40))
-    a_starts: tuple[float, ...] = (0.0, 0.5, 2.0)
-    f_starts: tuple[float, ...] = (0.5,)
-    max_iters: int = 100
-    tol: float = 1e-10
 
 
 def predict(theta: float, power, a: float, f: float):
@@ -165,6 +149,17 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
 
 
 # --- fitting -------------------------------------------------------------------
+
+# the start grid: every theta start for the sine fit, and every (theta, a)
+# pair at f = _F_START (or the pinned f) for the damped model
+_THETA_STARTS = tuple(math.pi * i / 40 for i in range(1, 40))
+_A_STARTS = (0.0, 0.5, 2.0)
+_F_START = 0.5
+_MAX_ITERS = 100
+_TOL = 1e-10
+"""Relative loss decrease, or root-mean-square residual, below which a start
+has converged."""
+
 
 def _fold(theta: float) -> float:
     t = theta % (2.0 * math.pi)
@@ -249,7 +244,7 @@ def _levenberg_marquardt(residuals, starts: np.ndarray, lower: np.ndarray, upper
 
 
 def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
-         free_f: bool, sine_only: bool, config: FitConfig) -> FitResult:
+         free_f: bool, sine_only: bool) -> FitResult:
     residuals = _residuals(fractions[None, :], ells, sine_only, free_f)
     if sine_only:
         lower, upper = np.array([-np.inf]), np.array([np.inf])
@@ -258,7 +253,7 @@ def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
         min_rate = -min(1.0, 100.0 / max(ells.max(), 1.0))
         lower, upper = np.array([-np.inf, min_rate, 0.0]), np.array([np.inf, np.inf, 1.0])
     params, losses, iterations, live = _levenberg_marquardt(
-        residuals, starts, lower, upper, config.max_iters, config.tol)
+        residuals, starts, lower, upper, _MAX_ITERS, _TOL)
     if not np.isfinite(losses).any():
         raise FitDivergedError("no start produced a finite loss")
     folded = np.array([_fold(t) for t in params[:, 0]])
@@ -276,35 +271,30 @@ def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
                      int(iterations[best]), not live[best], len(starts))
 
 
-def fit_sine(trace: LowDepthTrace, config: FitConfig | None = None) -> FitResult:
+def fit_sine(trace: LowDepthTrace) -> FitResult:
     """Fit the undamped response sin^2((2l+1) theta/2) to the trace fractions."""
-    config = config or FitConfig()
     ells = np.asarray(trace.schedule, dtype=float)
-    starts = np.asarray(config.theta_starts, dtype=float)[:, None]
-    return _fit(np.asarray(trace.fractions), ells, starts, free_f=False,
-                sine_only=True, config=config)
+    starts = np.asarray(_THETA_STARTS, dtype=float)[:, None]
+    return _fit(np.asarray(trace.fractions), ells, starts, free_f=False, sine_only=True)
 
 
-def fit_noise_model(trace: LowDepthTrace, config: FitConfig | None = None,
-                    fix_f: float | None = None) -> FitResult:
+def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResult:
     """Fit (theta, a, f) of the damped response; ``fix_f`` pins the scramble level.
 
     ``f`` is clamped to [0, 1]; ``a`` may go negative (slightly negative
     rates do occur on real data) down to -1, or -100 / max power for
     schedules past power 100, and predictions are not clamped.
     """
-    config = config or FitConfig()
     if fix_f is not None and not 0.0 <= fix_f <= 1.0:
         raise ValidationError(f"fix_f = {fix_f!r} outside [0, 1]", code="out-of-range")
     ells = np.asarray(trace.schedule, dtype=float)
-    thetas = np.asarray(config.theta_starts, dtype=float)
-    rates = np.asarray(config.a_starts, dtype=float)
-    fracs = (np.asarray(config.f_starts, dtype=float) if fix_f is None
-             else np.asarray([fix_f]))
+    thetas = np.asarray(_THETA_STARTS, dtype=float)
+    rates = np.asarray(_A_STARTS, dtype=float)
+    fracs = np.asarray([_F_START if fix_f is None else fix_f])
     grid = np.stack(np.meshgrid(thetas, rates, fracs, indexing="ij"), axis=-1)
     starts = grid.reshape(-1, 3)
     return _fit(np.asarray(trace.fractions), ells, starts, free_f=fix_f is None,
-                sine_only=False, config=config)
+                sine_only=False)
 
 
 # --- schedule viability bounds ---------------------------------------------------

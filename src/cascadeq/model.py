@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "p_on",
     "load_model",
     "save_model",
-    "config_int",
-    "config_bits",
     "format_config",
     "parse_config",
 ]
@@ -149,22 +147,6 @@ def seed_tuple(seed) -> tuple[int, ...]:
 
 # --- configuration encoding -------------------------------------------------
 
-def config_int(bits: Iterable[int]) -> int:
-    """Pack per-node bits (node 1 first) into a configuration integer."""
-    value = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValidationError(f"configuration bit {b!r} is not 0 or 1",
-                                  code="invalid-configuration")
-        value |= b << i
-    return value
-
-
-def config_bits(value: int, k: int) -> tuple[int, ...]:
-    """Unpack a configuration integer into per-node bits (node 1 first)."""
-    return tuple((value >> i) & 1 for i in range(k))
-
-
 def format_config(value: int, k: int) -> str:
     """Render a configuration most-significant node first ("10" = node 2 failed)."""
     return "".join(str((value >> (n - 1)) & 1) for n in range(k, 0, -1))
@@ -174,7 +156,7 @@ def parse_config(text: str) -> int:
     """Parse a most-significant-node-first configuration string."""
     if not text or any(ch not in "01" for ch in text):
         raise ParseError(f"configuration string {text!r} must be nonempty over {{0,1}}")
-    return config_int(int(ch) for ch in reversed(text))
+    return int(text, 2)
 
 
 # --- file format --------------------------------------------------------------

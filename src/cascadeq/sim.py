@@ -4,8 +4,8 @@ Basis index bit q is qubit q (qubit 0 least significant). A gate updates the
 ``[2]*n`` view of the state in place; controlled gates slice that view on
 their control axes, so a gate costs O(2^n) regardless of its control count.
 Every gate kind but ``phase`` is real and orthogonal, so :func:`run` holds
-the state as float64 when the circuit has no ``phase`` gate and the initial
-state, if given, is real; otherwise it holds complex128.
+the state as float64 when the circuit has no ``phase`` gate, and as
+complex128 otherwise.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ __all__ = [
     "check_run_size",
     "apply_gates",
     "probabilities",
-    "marginal_probability",
-    "sample_counts",
     "sample_marked",
 ]
 
@@ -102,9 +100,16 @@ def _apply_gate(view: np.ndarray, gate: Gate, n: int) -> None:
 def apply_gates(state: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> np.ndarray:
     """Apply gates in order to a statevector of 2^n_qubits amplitudes, in place.
 
-    A real state takes real gates only: a ``phase`` gate raises
-    ValidationError (``dtype-mismatch``) before the state is touched.
+    A state of any other length raises ValidationError (``dimension-mismatch``),
+    and a real state takes real gates only: a ``phase`` gate raises
+    ValidationError (``dtype-mismatch``). Both are raised before the state is
+    touched.
     """
+    if state.shape != (1 << n_qubits,):
+        raise ValidationError(
+            f"statevector has shape {state.shape}, expected ({1 << n_qubits},)",
+            code="dimension-mismatch",
+        )
     if not np.iscomplexobj(state) and _has_phase(gates):
         raise ValidationError("a phase gate needs a complex state", code="dtype-mismatch")
     view = state.reshape([2] * n_qubits)
@@ -117,28 +122,16 @@ def _has_phase(gates: Sequence[Gate]) -> bool:
     return any(gate.kind == "phase" for gate in gates)
 
 
-def run(circuit: Circuit, initial: np.ndarray | None = None,
-        qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
-    """Statevector after the whole circuit, starting from |0...0> by default;
-    float64 unless the circuit has a ``phase`` gate or ``initial`` is complex."""
+def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """Statevector after the whole circuit, starting from |0...0>; float64
+    unless the circuit has a ``phase`` gate."""
     n = circuit.n_qubits
     check_run_size(n, qubit_cap)
-    dim = 1 << n
-    real = not _has_phase(circuit.gates)
-    if initial is None:
-        state = np.zeros(dim, dtype=float if real else complex)
-        state[0] = 1.0
-    else:
-        initial = np.asarray(initial)
-        if initial.shape != (dim,):
-            raise ValidationError(
-                f"initial state has shape {initial.shape}, expected ({dim},)",
-                code="dimension-mismatch",
-            )
-        state = initial.astype(float if real and not np.iscomplexobj(initial) else complex)
+    state = np.zeros(1 << n, dtype=complex if _has_phase(circuit.gates) else float)
+    state[0] = 1.0
     apply_gates(state, circuit.gates, n)
     norm = np.linalg.norm(state)
-    if initial is None and abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"statevector norm drifted to {norm!r}", code="norm-drift")
     return state
 
@@ -175,26 +168,6 @@ def probabilities(state: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     rank = {ax: i for i, ax in enumerate(sorted(kept))}
     perm = [rank[_axis(n, q)] for q in reversed(qubits)]
     return p.transpose(perm).reshape(-1)
-
-
-def marginal_probability(state: np.ndarray, qubits: Sequence[int],
-                         bits: Sequence[int]) -> float:
-    """Probability that each listed qubit measures its given bit."""
-    n = _qubit_count(state)
-    _check_qubits(qubits, n)
-    if len(bits) != len(qubits) or any(b not in (0, 1) for b in bits):
-        raise ValidationError("one bit in {0,1} per qubit required",
-                              code="invalid-configuration")
-    sel: list = [slice(None)] * n
-    for q, b in zip(qubits, bits):
-        sel[_axis(n, q)] = b
-    return float((np.abs(state.reshape([2] * n)[tuple(sel)]) ** 2).sum())
-
-
-def sample_counts(state: np.ndarray, qubits: Sequence[int], shots: int,
-                  seed) -> dict[int, int]:
-    """Multinomial draw from the marginal over ``qubits``; keys are outcome ints."""
-    return _draw_counts(probabilities(state, qubits), shots, seed)
 
 
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> dict[int, int]:

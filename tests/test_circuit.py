@@ -103,11 +103,9 @@ def test_layout_and_register(two_node):
 def test_grover_spec_parsing():
     spec = GroverSpec.from_config("10", 3)
     assert spec.marked == ((1, 0), (2, 1))
-    assert spec.marked_fraction == 0.25
     assert spec.matches(2) and not spec.matches(3)
     sub = GroverSpec.from_config("1*", 3)
     assert sub.marked == ((2, 1),)
-    assert sub.marked_fraction == 0.5
     with pytest.raises(ValidationError):
         GroverSpec.from_config("**", 1)
     with pytest.raises(ParseError):

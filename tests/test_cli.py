@@ -161,19 +161,19 @@ def test_fit_device_trace(capsys, fixtures_dir):
 
 
 def test_fit_warns_when_not_converged(capsys, fixtures_dir, monkeypatch):
-    import cascadeq.cli as cli_module
-    from cascadeq import FitConfig, fit_noise_model
+    from cascadeq import lowdepth
 
-    monkeypatch.setattr(cli_module, "fit_noise_model", lambda trace, fix_f=None: fit_noise_model(
-        trace, config=FitConfig(max_iters=1), fix_f=fix_f))
+    monkeypatch.setattr(lowdepth, "_MAX_ITERS", 1)
     code = main(["fit", "--trace", model_path(fixtures_dir, "trace_1node_noisy_t2.csv")])
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.err == "warning: noise_fit did not converge in 1 iterations\n"
+    assert captured.err == ("warning: sine_fit did not converge in 1 iterations\n"
+                            "warning: noise_fit did not converge in 1 iterations\n")
     report = json.loads(captured.out)
-    assert report["metrics"]["noise_fit"] == {"iterations": 1, "converged": False,
-                                              "n_starts": 117}
-    assert report["metrics"]["sine_fit"]["converged"] is True
+    assert report["metrics"] == {
+        "sine_fit": {"iterations": 1, "converged": False, "n_starts": 39},
+        "noise_fit": {"iterations": 1, "converged": False, "n_starts": 117},
+    }
 
 
 def test_fit_noisy_trace(capsys, fixtures_dir):
@@ -231,6 +231,47 @@ def test_plotdata_spread_and_bits(capsys, fixtures_dir, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("figure,report", [
+    ("spread", [1, 2]),
+    ("spread", {"results": {"runs": 10, "repeats": [{"counts": {"1": 3}}]}}),
+    ("bits", {"results": {"sweep": [{"bits": 3}]}}),
+    ("schedule", {"results": {"trace": {"schedule": [0, 1]}}}),
+    ("schedule", {"results": {"trace": {"schedule": [0, 1], "shots": [10], "marked": [3]}}}),
+    ("schedule", {"results": {"trace": {"schedule": [0, 1], "shots": [10, 0],
+                                        "marked": [3, 0]}}}),
+], ids=["top-level-list", "repeat-without-estimates", "sweep-without-probability",
+        "trace-without-counts", "trace-misaligned", "trace-zero-shots"])
+def test_plotdata_malformed_report_exits_1(capsys, tmp_path, figure, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = main(["plotdata", "--report", str(path), "--figure", figure])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error (parse-error): ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb,flag", [("exact", "--model"), ("fit", "--trace"),
+                                       ("plotdata", "--report")])
+def test_file_not_utf8_exits_1(capsys, tmp_path, verb, flag):
+    path = tmp_path / "input"
+    path.write_bytes(b"l,shots,marked\n\xff\n")
+    extra = {"exact": ["--steps", "1"], "fit": [], "plotdata": ["--figure", "bits"]}[verb]
+    code = main([verb, flag, str(path), *extra])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error (parse-error)")
+
+
+def test_out_into_a_missing_directory_exits_1(capsys, fixtures_dir, tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["fit", "--trace", model_path(fixtures_dir, "trace_2node_c00.csv"),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error (io): ")
+    assert not out.parent.exists()
+
+
 def test_exit_codes(capsys, fixtures_dir, tmp_path, monkeypatch):
     bad_model = tmp_path / "bad.json"
     bad_model.write_text("{not json")
@@ -254,7 +295,7 @@ def test_exit_codes(capsys, fixtures_dir, tmp_path, monkeypatch):
 
     import cascadeq.cli as cli_module
 
-    def boom(trace, config=None):
+    def boom(trace):
         raise FitDivergedError("forced")
 
     monkeypatch.setattr(cli_module, "fit_sine", boom)

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadeq import (
-    FitConfig,
     GroverSpec,
     LowDepthTrace,
     NetworkModel,
@@ -24,6 +23,7 @@ from cascadeq import (
     trace_from_text,
     trace_to_text,
 )
+from cascadeq import lowdepth
 from cascadeq.errors import FitDivergedError
 from cascadeq.lowdepth import _fit, _residuals
 
@@ -212,10 +212,12 @@ def test_degenerate_all_or_nothing_trace():
     assert fit.converged
 
 
-def test_loss_non_increasing_with_iteration_budget(fixtures_dir):
+def test_loss_non_increasing_with_iteration_budget(fixtures_dir, monkeypatch):
     trace = read_trace(fixtures_dir, "trace_1node_noisy_t2.csv")
-    budgets = [0, 5, 25, 100, 400]
-    losses = [fit_noise_model(trace, config=FitConfig(max_iters=n)).loss for n in budgets]
+    losses = []
+    for budget in [0, 5, 25, 100, 400]:
+        monkeypatch.setattr(lowdepth, "_MAX_ITERS", budget)
+        losses.append(fit_noise_model(trace).loss)
     for earlier, later in zip(losses, losses[1:]):
         assert later <= earlier + 1e-15
 
@@ -223,8 +225,7 @@ def test_loss_non_increasing_with_iteration_budget(fixtures_dir):
 def test_fit_diverged_on_non_finite_data():
     with pytest.raises(FitDivergedError):
         _fit(np.array([math.nan, math.nan]), np.array([0.0, 1.0]),
-             np.array([[0.5], [1.0]]), free_f=False, sine_only=True,
-             config=FitConfig())
+             np.array([[0.5], [1.0]]), free_f=False, sine_only=True)
 
 
 def test_gradient_matches_finite_differences():
@@ -252,13 +253,14 @@ def test_fixture_fits_converge(fixtures_dir):
                 (fit_noise_model(trace, fix_f=0.5), 117)]
         for fit, n_starts in fits:
             assert fit.converged, path.name
-            assert 0 < fit.iterations <= FitConfig().max_iters
+            assert 0 < fit.iterations <= lowdepth._MAX_ITERS
             assert fit.n_starts == n_starts
 
 
-def test_fit_reports_exhausted_budget(fixtures_dir):
+def test_fit_reports_exhausted_budget(fixtures_dir, monkeypatch):
     trace = read_trace(fixtures_dir, "trace_1node_noisy_t2.csv")
-    fit = fit_noise_model(trace, config=FitConfig(max_iters=1))
+    monkeypatch.setattr(lowdepth, "_MAX_ITERS", 1)
+    fit = fit_noise_model(trace)
     assert not fit.converged
     assert fit.iterations == 1
 

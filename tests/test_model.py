@@ -9,8 +9,6 @@ from cascadeq import (
     NetworkModel,
     ParseError,
     ValidationError,
-    config_bits,
-    config_int,
     format_config,
     load_model,
     parse_config,
@@ -139,13 +137,12 @@ def test_round_trip_random_models(data):
 
 
 def test_config_helpers():
-    assert config_int([0, 1]) == 2
-    assert config_bits(2, 2) == (0, 1)
     assert format_config(2, 2) == "10"  # node 2 failed, node 1 good
     assert parse_config("10") == 2
     assert parse_config("01") == 1
     for value in range(8):
         assert parse_config(format_config(value, 3)) == value
+    assert parse_config("1" + "0" * 69) == 1 << 69  # past 64 nodes
 
 
 def test_parse_config_rejects_junk():
