@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     ValidationError,
+    check_dense_bytes,
 )
 from .exact import evaluate, marginal
 from .lowdepth import (
@@ -50,6 +51,10 @@ from .qae import grover_eigenphase, run_standard_qae
 from .sim import DEFAULT_QUBIT_CAP, NoiseSpec
 
 _CURVE_STEP = 0.05
+
+_PLOT_ROW_PEAK = 250
+"""Peak bytes of ``plotdata`` per CSV row it builds, for the row tuples and
+their text: tracemalloc 228-243 on schedule figures of 0.4-0.8 million rows."""
 
 
 def main(argv=None) -> int:
@@ -340,7 +345,7 @@ def _cmd_plotdata(args):
         rows = _plot_rows(args.figure, report)
     except MissingSeriesError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"report series is malformed: {exc!r}") from exc
     payload = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
     return "plotdata", {"report": args.report, "figure": args.figure}, {}, payload, None
@@ -348,8 +353,9 @@ def _cmd_plotdata(args):
 
 def _plot_rows(figure: str, report) -> list[tuple]:
     """CSV rows of one figure's series; a report of the wrong shape raises
-    AttributeError, KeyError, TypeError or ValueError (ValidationError among
-    them)."""
+    AttributeError, KeyError, OverflowError, TypeError or ValueError
+    (ValidationError among them), and a schedule figure past the byte budget
+    raises ResourceLimitError before it builds its curves."""
     results = report.get("results", {})
     rows = [("series", "x", "y")]
     if figure == "spread":
@@ -374,16 +380,21 @@ def _plot_rows(figure: str, report) -> list[tuple]:
         trace = LowDepthTrace(series["schedule"], series["shots"], series["marked"])
         for power, fraction in zip(trace.schedule, trace.fractions):
             rows.append(("measured", power, fraction))
-        grid = np.arange(0.0, max(trace.schedule) + _CURVE_STEP / 2, _CURVE_STEP)
+        curves = []
         if "exact_theta" in results:
-            theta = results["exact_theta"]
-            for x in grid:
-                rows.append(("exact", round(float(x), 4), predict(theta, float(x), 0.0, 0.0)))
+            curves.append(("exact", results["exact_theta"], 0.0, 0.0))
         fit = results.get("noise_fit")
         if fit:
-            for x in grid:
-                value = predict(fit["theta"], float(x), fit["a"], min(max(fit["f"], 0.0), 1.0))
-                rows.append(("fitted", round(float(x), 4), value))
+            curves.append(("fitted", fit["theta"], fit["a"], min(max(fit["f"], 0.0), 1.0)))
+        if curves:
+            # a row per curve and grid point, and the grid has 20 points a power
+            points = round(1.0 / _CURVE_STEP) * max(trace.schedule) + 1
+            check_dense_bytes((len(rows) + len(curves) * points) * _PLOT_ROW_PEAK,
+                              f"a schedule figure up to power {max(trace.schedule)}")
+            grid = np.arange(0.0, max(trace.schedule) + _CURVE_STEP / 2, _CURVE_STEP)
+            for name, theta, a, f in curves:
+                for x in grid:
+                    rows.append((name, round(float(x), 4), predict(theta, float(x), a, f)))
     return rows
 
 

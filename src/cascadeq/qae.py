@@ -43,8 +43,9 @@ _LEAK_BOUND = 1e-8
 
 _EIGENPHASE_PEAK = 9.18
 """Peak bytes of :func:`_grover_plane` as a multiple of the 16 * 2^n of one
-complex128 statevector. Tracemalloc at 16-20 qubits: 3.00-3.05, from the two
-float64 basis states, their Grover images and the residual's temporaries.
+complex128 statevector. Tracemalloc at 14-20 qubits: 3.01-3.61 (3.01-3.12
+from 16 on), from the two float64 basis states, their Grover images and the
+residual's temporaries.
 The factor is the 9.07-9.18 a complex128 plane with an index mask peaked
 at; it bounds the float64 path from above, and lowering it would admit one
 more qubit."""

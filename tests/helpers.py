@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -123,3 +124,15 @@ def extract_unitary(circuit: Circuit, qubit_cap: int = 10) -> np.ndarray:
         column[j] = 1.0
         matrix[:, j] = apply_gates(column, circuit.gates, n)
     return matrix
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn()`` runs, above what was
+    allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

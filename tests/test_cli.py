@@ -239,8 +239,10 @@ def test_plotdata_spread_and_bits(capsys, fixtures_dir, tmp_path):
     ("schedule", {"results": {"trace": {"schedule": [0, 1], "shots": [10], "marked": [3]}}}),
     ("schedule", {"results": {"trace": {"schedule": [0, 1], "shots": [10, 0],
                                         "marked": [3, 0]}}}),
+    ("schedule", {"results": {"trace": {"schedule": [0, float("inf")], "shots": [10, 10],
+                                        "marked": [3, 4]}}}),
 ], ids=["top-level-list", "repeat-without-estimates", "sweep-without-probability",
-        "trace-without-counts", "trace-misaligned", "trace-zero-shots"])
+        "trace-without-counts", "trace-misaligned", "trace-zero-shots", "trace-infinite-power"])
 def test_plotdata_malformed_report_exits_1(capsys, tmp_path, figure, report):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
@@ -249,6 +251,26 @@ def test_plotdata_malformed_report_exits_1(capsys, tmp_path, figure, report):
     assert code == 1
     assert captured.err.startswith("error (parse-error): ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("curves", [{"exact_theta": 0.7},
+                                    {"noise_fit": {"theta": 0.7, "a": 0.1, "f": 0.5}}])
+def test_plotdata_schedule_past_the_byte_budget_exits_2(capsys, tmp_path, curves):
+    path = tmp_path / "report.json"
+    trace = {"schedule": [0, 10 ** 9], "shots": [10, 10], "marked": [3, 4]}
+    path.write_text(json.dumps({"results": {"trace": trace, **curves}}))
+    out = tmp_path / "rows.csv"
+    code = main(["plotdata", "--report", str(path), "--figure", "schedule", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit): ")
+    assert captured.out == ""
+    assert not out.exists()
+    # without a curve the figure is the measured rows alone, at any power
+    path.write_text(json.dumps({"results": {"trace": trace}}))
+    code, printed = run_cli(capsys, "plotdata", "--report", str(path), "--figure", "schedule")
+    assert code == 0
+    assert printed.splitlines()[1:] == ["measured,0,0.3", f"measured,{10 ** 9},0.4"]
 
 
 @pytest.mark.parametrize("verb,flag", [("exact", "--model"), ("fit", "--trace"),

@@ -16,7 +16,8 @@ from cascadeq import (
     run,
     run_standard_qae,
 )
-from helpers import qpe_distribution
+from cascadeq import qae
+from helpers import qpe_distribution, random_model, traced_peak
 
 # three-bit decode grid: outcome -> (theta, probability), three decimals
 DECODE_GRID = {
@@ -143,3 +144,11 @@ def test_eigenphase_degenerate_cases():
         grover_eigenphase(always, 1, GroverSpec.from_config("1", 1))
     with pytest.raises(DegenerateSubspaceError):
         grover_eigenphase(always, 1, GroverSpec.from_config("0", 1))
+
+
+@pytest.mark.parametrize("k, horizon", [(2, 7), (3, 5), (4, 4)])
+def test_grover_plane_peaks_within_its_byte_budget_factor(k, horizon):
+    model = random_model(np.random.default_rng(k), k)
+    spec = GroverSpec.from_config("1" * k, horizon)
+    peak = traced_peak(lambda: qae._grover_plane(model, horizon, spec, qubit_cap=20))
+    assert peak < qae._EIGENPHASE_PEAK * (16 << (k * horizon))

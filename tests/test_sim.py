@@ -18,8 +18,9 @@ from cascadeq import (
     run,
     run_schedule,
 )
+from cascadeq import sim
 from cascadeq.sim import _draw_counts, apply_gates, sample_marked
-from helpers import extract_unitary
+from helpers import extract_unitary, random_model, traced_peak
 
 
 def test_single_rotation_probability():
@@ -67,6 +68,56 @@ def test_resource_limit():
         run(Circuit(25, ()), qubit_cap=40)
     with pytest.raises(ResourceLimitError):
         extract_unitary(Circuit(11, ()))
+
+
+def _random_state(rng: np.random.Generator, n: int, dtype) -> np.ndarray:
+    state = rng.standard_normal(1 << n)
+    if dtype is complex:
+        state = state + 1j * rng.standard_normal(1 << n)
+    return state / np.linalg.norm(state)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blas_kernel_matches_the_slicing_kernel(monkeypatch, dtype):
+    rng = np.random.default_rng(23)
+    kinds = (("ry", float(rng.uniform(-4.0, 4.0))), ("x", None), ("h", None))
+    # sizes below the crossover, at it, and up to 14 qubits, where every
+    # target from the dense low block to the batched product is reached
+    for n in (1, 2, sim._BLAS_MIN_QUBITS, 4, 5, 9, 14):
+        state = _random_state(rng, n, dtype)
+        for q in range(n):
+            for kind, angle in kinds:
+                gate = Gate(kind, (q,), angle=angle)
+                got = apply_gates(state.copy(), [gate], n)
+                with monkeypatch.context() as patch:
+                    patch.setattr(sim, "_BLAS_MIN_QUBITS", n + 1)
+                    want = apply_gates(state.copy(), [gate], n)
+                assert got.dtype == want.dtype
+                assert np.max(np.abs(got - want)) <= 1e-15, (n, q, gate.kind)
+
+
+def test_real_run_is_the_complex_runs_real_part_above_the_crossover():
+    model = random_model(np.random.default_rng(5), 3)
+    spec = GroverSpec.from_config("1*0", 4)
+    for circuit in (build_model_circuit(model, 4), build_grover(model, 4, spec)):
+        assert circuit.n_qubits == 12 > sim._BLAS_MIN_QUBITS
+        full = np.zeros(1 << circuit.n_qubits, dtype=complex)
+        full[0] = 1.0
+        apply_gates(full, circuit.gates, circuit.n_qubits)
+        assert np.array_equal(run(circuit), full.real)
+        assert not full.imag.any()
+
+
+@pytest.mark.parametrize("k, horizon", [(2, 7), (3, 5), (4, 4)])
+def test_run_peaks_within_its_byte_budget_factor(k, horizon):
+    model = random_model(np.random.default_rng(k), k)
+    spec = GroverSpec.from_config("1" * k, horizon)
+    real = build_model_circuit(model, horizon)
+    grover = build_grover(model, horizon, spec)
+    n = real.n_qubits
+    complex_circuit = Circuit(n, (Gate("phase", (0,), angle=0.3),) + real.gates + grover.gates)
+    for circuit in (real, grover, complex_circuit):
+        assert traced_peak(lambda: run(circuit)) < sim._RUN_PEAK * (16 << n)
 
 
 def test_two_node_register_marginals(two_node):
