@@ -7,8 +7,11 @@ across reruns with the same inputs and seeds. ``fit`` and ``lowdepth``
 reports add a ``metrics`` block with each fit's iterations, start count and
 converged flag; a fit that did not converge also prints a warning on
 stderr. ``qae`` reports add one with the simulated model qubits, their
-statevector bytes and the largest Grover-plane residual. ``plotdata``
-instead emits CSV series extracted from a previously written report.
+statevector bytes and the largest Grover-plane residual. ``mc`` reports add
+one with the chunks sampled, the configuration rows ``p_on`` evaluated, the
+sampling seconds and the trajectories per second, all over every repeat.
+``plotdata`` instead emits CSV series extracted from a previously written
+report.
 
 Exit codes: 0 success, 1 validation/parse problems, 2 resource limit,
 3 fit divergence.
@@ -55,6 +58,12 @@ _CURVE_STEP = 0.05
 _PLOT_ROW_PEAK = 250
 """Peak bytes of ``plotdata`` per CSV row it builds, for the row tuples and
 their text: tracemalloc 228-243 on schedule figures of 0.4-0.8 million rows."""
+
+_LIST_ENTRY_PEAK = 48
+"""Peak bytes of ``_parse_int_list`` per integer it returns: tracemalloc
+39.9-40.7 on ranges of 0.1-4 million entries. Comma-separated single values
+peak at 125-153 a value from the split text, but the operating system bounds
+an argument's length, so a list that long stays far below the budget."""
 
 
 def main(argv=None) -> int:
@@ -125,8 +134,9 @@ def _load_model_file(path: str):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Parse "0..8" / "0,1,4" / mixtures of both."""
-    values: list[int] = []
+    """Parse "0..8" / "0,1,4" / mixtures of both; a list past the byte budget
+    is refused before any range is expanded."""
+    spans: list[tuple[int, int]] = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
@@ -137,13 +147,16 @@ def _parse_int_list(text: str) -> list[int]:
                 raise ParseError(f"bad range {token!r}") from exc
             if hi_i < lo_i:
                 raise ParseError(f"bad range {token!r}")
-            values.extend(range(lo_i, hi_i + 1))
+            spans.append((lo_i, hi_i))
         else:
             try:
-                values.append(int(token))
+                value = int(token)
             except ValueError as exc:
                 raise ParseError(f"bad integer {token!r}") from exc
-    return values
+            spans.append((value, value))
+    entries = sum(hi - lo + 1 for lo, hi in spans)
+    check_dense_bytes(entries * _LIST_ENTRY_PEAK, f"a list of {entries} integers")
+    return [value for lo, hi in spans for value in range(lo, hi + 1)]
 
 
 def _fit_dict(fit: FitResult) -> dict:
@@ -196,10 +209,10 @@ def _cmd_mc(args):
     if args.repeats < 1:
         raise ValidationError("--repeats must be >= 1", code="invalid-repeats")
     model = _load_model_file(args.model)
-    repeats = []
-    for rep in range(args.repeats):
-        result = evaluate_mc(model, args.steps, args.runs, seed=(args.seed, rep))
-        repeats.append(result)
+    started = time.perf_counter()
+    repeats = [evaluate_mc(model, args.steps, args.runs, seed=(args.seed, rep))
+               for rep in range(args.repeats)]
+    sample_s = time.perf_counter() - started
     k = model.k
     results = {
         "runs": args.runs,
@@ -221,7 +234,11 @@ def _cmd_mc(args):
         }
     inputs = {"model": args.model, "steps": args.steps, "runs": args.runs,
               "seed": args.seed, "repeats": args.repeats}
-    return "mc", inputs, results, None, None
+    metrics = {"chunks": sum(r.chunks for r in repeats),
+               "p_on_rows": sum(r.p_on_rows for r in repeats),
+               "sample_s": sample_s,
+               "trajectories_per_s": args.runs * args.repeats / sample_s}
+    return "mc", inputs, results, None, metrics
 
 
 def _grover_spec(args, model) -> GroverSpec:

@@ -133,8 +133,6 @@ def _ancilla_distribution(model: NetworkModel, horizon: int, spec: GroverSpec, b
     M^y v0, so after the inverse Fourier transform outcome z has amplitude
     (1/N) sum_y e^{-2 pi i yz/N} M^y v0, with N = 2^bits.
     """
-    if bits < 1:
-        raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
     # the circuit being estimated has bits ancillas; its size is refused as
     # before, which also bounds the (N, 2) arrays below
     if horizon >= 1:
@@ -166,6 +164,8 @@ def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: 
     the circuit being estimated. A plane residual above 1e-8 raises
     ``CascadeqError`` with code ``plane-leak``.
     """
+    if bits < 1:  # before the seed, which the CLI builds from bits
+        raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
     seeds = seed_tuple(seed)
     probs, residual = _ancilla_distribution(model, horizon, spec, bits, qubit_cap)
     counts = _draw_counts(probs, shots, seeds)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cascadeq import FitDivergedError, NetworkModel, parse_gates, save_model
+from cascadeq import (FitDivergedError, NetworkModel, ResourceLimitError, parse_gates,
+                      save_model)
 from cascadeq.cli import _write, main
 
 
@@ -59,6 +60,12 @@ def test_mc_reports_are_bit_identical(capsys, fixtures_dir):
     assert json.dumps(first["results"], sort_keys=True) == json.dumps(
         second["results"], sort_keys=True)
     assert "spread" in first["results"]
+    metrics = first["metrics"]
+    assert set(metrics) == {"chunks", "p_on_rows", "sample_s", "trajectories_per_s"}
+    assert metrics["chunks"] == 3  # one 65,536-run chunk a repeat
+    assert metrics["p_on_rows"] == 3 * 4  # one table of the 4 configurations a repeat
+    assert metrics["sample_s"] > 0.0
+    assert metrics["trajectories_per_s"] == pytest.approx(3 * 20000 / metrics["sample_s"])
 
 
 def test_circuit_gate_listing_round_trips(capsys, fixtures_dir, tmp_path):
@@ -342,6 +349,49 @@ def test_bad_seed_or_repeats_is_a_validation_error(capsys, fixtures_dir, args):
     assert code == 1
     assert captured.err.startswith("error (invalid-")
     assert captured.out == ""
+
+
+def test_qae_negative_bits_is_invalid_bits(capsys, fixtures_dir):
+    # bits is checked before the seed (seed, bits) is built from it
+    code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--config", "11", "--bits", "-2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error (invalid-bits)")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("lowdepth", "--shots", "10", "--schedule", "0..1000000000000"),
+    ("qae", "--bits", "3,4..1000000000000"),
+], ids=["lowdepth-schedule", "qae-bits"])
+def test_int_list_past_the_byte_budget_exits_2(capsys, fixtures_dir, monkeypatch, args):
+    # the ranges are counted before any is expanded; a parser that expanded
+    # first would meet this guard instead of allocating terabytes
+    import cascadeq.cli as cli_module
+
+    def bounded_range(lo, hi):
+        assert hi - lo <= 10 ** 6, "range expanded before its entries were counted"
+        return range(lo, hi)
+
+    monkeypatch.setattr(cli_module, "range", bounded_range, raising=False)
+    code = main([args[0], "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--config", "11", *args[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_int_list_at_the_byte_budget_is_parsed(monkeypatch):
+    import cascadeq.cli as cli_module
+    import cascadeq.errors as errors_module
+
+    monkeypatch.setattr(errors_module, "DENSE_BYTE_BUDGET", 10 * cli_module._LIST_ENTRY_PEAK)
+    assert cli_module._parse_int_list("0..4, 7,9..11") == [0, 1, 2, 3, 4, 7, 9, 10, 11]
+    assert cli_module._parse_int_list("0..9") == list(range(10))
+    with pytest.raises(ResourceLimitError):
+        cli_module._parse_int_list("0..10")
 
 
 @pytest.mark.parametrize("k,args", [

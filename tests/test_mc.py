@@ -5,6 +5,7 @@ import pytest
 
 import cascadeq.mc as mc
 from cascadeq import NetworkModel, ResourceLimitError, ValidationError, evaluate, evaluate_mc
+from cascadeq.model import p_on
 from helpers import random_model, sample_trajectories
 
 
@@ -42,12 +43,13 @@ def test_worker_equivalent_chunk_streams(two_node):
     # a worker pool that owns chunks (seed, index) must reproduce the serial result
     runs = mc.CHUNK_SIZE * 2 + 500
     baseline = evaluate_mc(two_node, 2, runs, seed=1)
+    table = p_on(two_node, np.arange(4))
     counts: dict[int, int] = {}
     done = 0
     for index in range(3):
         size = min(mc.CHUNK_SIZE, runs - done)
         rng = np.random.default_rng((1, index))
-        configs = mc._sample_chunk(two_node, 2, size, rng)
+        configs, _ = mc._sample_chunk(two_node, 2, size, rng, table)
         for value, count in zip(*np.unique(configs, return_counts=True)):
             counts[int(value)] = counts.get(int(value), 0) + int(count)
         done += size
@@ -56,14 +58,42 @@ def test_worker_equivalent_chunk_streams(two_node):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sample_chunk_matches_plain_sampler(seed):
-    # same draws, same per-node probabilities, same comparisons: equal configurations
+    # same draws, same per-node probabilities, same comparisons: equal
+    # configurations, whether the probabilities come from the table or not
     rng = np.random.default_rng(seed)
-    for k in range(1, 7):
+    for k in range(1, 9):
         model = random_model(rng, k)
         horizon = int(rng.integers(0, 5))
-        got = mc._sample_chunk(model, horizon, 777, np.random.default_rng((seed, k)))
         want = sample_trajectories(model, horizon, 777, np.random.default_rng((seed, k)))
-        assert np.array_equal(got, want)
+        for table in (p_on(model, np.arange(1 << k)), None):
+            got, _ = mc._sample_chunk(model, horizon, 777, np.random.default_rng((seed, k)),
+                                      table)
+            assert np.array_equal(got, want)
+
+
+def test_unique_path_counts_equal_the_table_paths():
+    # 200 runs are fewer than an 8-node model's 256 configurations, so
+    # evaluate_mc takes the per-step np.unique path
+    model = random_model(np.random.default_rng(5), 8)
+    result = evaluate_mc(model, 4, 200, seed=3)
+    table = p_on(model, np.arange(256))
+    configs, table_rows = mc._sample_chunk(model, 4, 200, np.random.default_rng((3, 0)), table)
+    values, counts = np.unique(configs, return_counts=True)
+    assert result.counts == {int(v): int(n) for v, n in zip(values, counts)}
+    assert table_rows == 0
+    # step t evaluates the distinct configurations that t steps of the same
+    # stream leave
+    distinct = [len(np.unique(mc._sample_chunk(model, t, 200, np.random.default_rng((3, 0)),
+                                               table)[0]))
+                for t in range(4)]
+    assert distinct[0] == 1 and max(distinct) > 1
+    assert result.p_on_rows == sum(distinct)
+
+
+def test_table_path_evaluates_each_configuration_once(two_node):
+    for horizon in (0, 1, 5):
+        result = evaluate_mc(two_node, horizon, mc.CHUNK_SIZE + 7, seed=0)
+        assert (result.chunks, result.p_on_rows) == (2, 4)
 
 
 def test_estimates_close_to_exact_random_models():
