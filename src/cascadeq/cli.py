@@ -7,9 +7,10 @@ across reruns with the same inputs and seeds. ``fit`` and ``lowdepth``
 reports add a ``metrics`` block with each fit's iterations, start count and
 converged flag; a fit that did not converge also prints a warning on
 stderr. ``qae`` reports add one with the simulated model qubits, their
-statevector bytes and the largest Grover-plane residual. ``mc`` reports add
-one with the chunks sampled, the configuration rows ``p_on`` evaluated, the
-sampling seconds and the trajectories per second, all over every repeat.
+statevector bytes and the largest norm residual of the model state the
+Grover plane is read from. ``mc`` reports add one with the chunks sampled,
+the configuration rows ``p_on`` evaluated, the sampling seconds and the
+trajectories per second, all over every repeat.
 ``plotdata`` instead emits CSV series extracted from a previously written
 report.
 

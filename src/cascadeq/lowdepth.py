@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import GroverSpec, build_grover, build_model_circuit
-from .errors import FitDivergedError, ParseError, ValidationError
+from .circuit import GroverSpec
+from .errors import FitDivergedError, ParseError, ValidationError, check_dense_bytes
 from .model import NetworkModel, seed_tuple
-from .sim import DEFAULT_QUBIT_CAP, NoiseSpec, apply_gates, run, sample_marked
+from .qae import _split_model_state
+from .sim import _SHOT_PEAK, DEFAULT_QUBIT_CAP, NoiseSpec, probabilities, sample_marked
 
 __all__ = [
     "LowDepthTrace",
@@ -108,14 +109,31 @@ def predict(theta: float, power, a: float, f: float):
     return float(value) if np.isscalar(power) else value
 
 
+def _power_distributions(model: NetworkModel, horizon: int, spec: GroverSpec, powers,
+                         qubit_cap: int):
+    """Run the model once; iterate the register distribution after each of
+    ``powers`` Grover applications. The operator rotates the plane of the
+    state's marked and unmarked parts by 2a, sin(a) = sqrt(p), so power l
+    mixes their normalised register marginals (an empty part's stays zero)
+    with weights sin^2((2l+1)a) and cos^2((2l+1)a)."""
+    base, unmarked, marked, p = _split_model_state(model, horizon, spec, qubit_cap)
+    register = base.register(spec.target_step)
+    marginals = [probabilities(part, register) for part in (marked, unmarked)]
+    on, off = (m / m.sum() if m.any() else m for m in marginals)
+    angle = math.asin(math.sqrt(min(p, 1.0)))
+    weights = (math.sin((2 * l + 1) * angle) ** 2 for l in powers)
+    return (w * on + (1.0 - w) * off for w in weights)
+
+
 def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
                  shots, noise: NoiseSpec | None = None, seed=0,
                  qubit_cap: int = DEFAULT_QUBIT_CAP) -> LowDepthTrace:
     """Run the model plus each scheduled Grover power and count marked results.
 
-    The statevector is evolved incrementally, one Grover application per
-    power. Sampling at power l uses the stream seeded by (seed, l), so any
-    two schedules agree on their common powers.
+    One model run gives every power's distribution; no Grover gate is
+    simulated. Sampling at power l uses the stream seeded by (seed, l), so
+    any two schedules agree on their common powers. Shots past the byte
+    budget are refused before the model runs.
     """
     schedule = tuple(int(l) for l in schedule)
     if not schedule:
@@ -130,22 +148,16 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
     if any(l < 0 for l in schedule) or len(set(schedule)) != len(schedule):
         raise ValidationError("schedule powers must be distinct and >= 0",
                               code="invalid-schedule")
-    base = build_model_circuit(model, horizon)
-    grover = build_grover(model, horizon, spec)
-    register = base.register(spec.target_step)
+    check_dense_bytes(max(per_shots) * _SHOT_PEAK, f"sampling {max(per_shots)} shots")
     epsilon = noise.per_grover_error if noise is not None else 0.0
     seeds = seed_tuple(seed)
-    wanted = dict(zip(schedule, per_shots))
-    state = run(base, qubit_cap=qubit_cap)
-    counts: dict[int, int] = {}
-    for power in range(max(schedule) + 1):
-        if power in wanted:
-            rng = np.random.default_rng((*seeds, power))
-            counts[power] = sample_marked(state, register, spec.matches,
-                                          wanted[power], (1.0 - epsilon) ** power, rng)
-        if power < max(schedule):
-            apply_gates(state, grover.gates, grover.n_qubits)
-    return LowDepthTrace(schedule, per_shots, tuple(counts[l] for l in schedule))
+    distributions = _power_distributions(model, horizon, spec, schedule, qubit_cap)
+    mask = np.fromiter((spec.matches(v) for v in range(1 << model.k)), dtype=bool)
+    counts = tuple(
+        sample_marked(probs, mask, n, (1.0 - epsilon) ** power,
+                      np.random.default_rng((*seeds, power)))
+        for probs, power, n in zip(distributions, schedule, per_shots))
+    return LowDepthTrace(schedule, per_shots, counts)
 
 
 # --- fitting -------------------------------------------------------------------

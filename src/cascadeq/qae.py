@@ -1,14 +1,14 @@
 """Standard quantum amplitude estimation and Grover eigenphase analysis.
 
-Both read the Grover operator on its two-dimensional invariant plane
-(Brassard, Hoyer, Mosca and Tapp, arXiv:quant-ph/0005055): the model state
-splits into its marked and unmarked parts, and the operator maps that plane
-to itself by a 2x2 matrix M. The eigenphase is M's rotation angle. Standard
-QAE is computed on the plane as well, with no phase-estimation circuit: its
-ancilla distribution is an FFT over M^y v0, equal to the circuit's ancilla
-marginals to rounding. A plane whose leak residual passes 1e-8 raises
-``CascadeqError`` with code ``plane-leak`` (exit 1) rather than return a
-wrong distribution.
+Both read the Grover operator -A S0 A^dagger S_chi on its invariant plane.
+It equals (2|psi><psi| - I)(I - 2 Pi), with psi = A|0> the model state and
+Pi the projector on the marked basis states (Brassard, Hoyer, Mosca and
+Tapp, arXiv:quant-ph/0005055), so on the plane of psi's marked and unmarked
+parts it is the rotation M by theta = 2 asin(sqrt(p)), p the marked mass:
+one model run gives it, and no Grover gate is simulated. Standard QAE needs
+no phase-estimation circuit: its ancilla distribution is an FFT over M^y v0,
+equal to the circuit's ancilla marginals to rounding. The residual is how
+far the model state's norm is from 1, the one error the closed form leaves.
 """
 from __future__ import annotations
 
@@ -18,17 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import GroverSpec, build_grover, build_model_circuit
-from .errors import CascadeqError, DegenerateSubspaceError, ValidationError
+from .circuit import Circuit, GroverSpec, build_model_circuit
+from .errors import DegenerateSubspaceError, ValidationError
 from .model import NetworkModel, seed_tuple
-from .sim import (
-    DEFAULT_QUBIT_CAP,
-    _draw_counts,
-    apply_gates,
-    check_run_size,
-    check_statevector_size,
-    run,
-)
+from .sim import DEFAULT_QUBIT_CAP, _draw_counts, check_run_size, run
 
 __all__ = [
     "QaeResult",
@@ -38,23 +31,11 @@ __all__ = [
     "grover_eigenphase",
 ]
 
-_LEAK_BOUND = 1e-8
-"""Largest plane residual standard QAE accepts."""
-
-_EIGENPHASE_PEAK = 9.18
-"""Peak bytes of :func:`_grover_plane` as a multiple of the 16 * 2^n of one
-complex128 statevector. Tracemalloc at 14-20 qubits: 3.01-3.61 (3.01-3.12
-from 16 on), from the two float64 basis states, their Grover images and the
-residual's temporaries.
-The factor is the 9.07-9.18 a complex128 plane with an index mask peaked
-at; it bounds the float64 path from above, and lowering it would admit one
-more qubit."""
-
 
 @dataclass(frozen=True)
 class QaeResult:
     """Sampled phase-estimation outcomes, the decoded modal estimate, and
-    the leak residual of the Grover plane they were computed on."""
+    the norm residual of the model state they were computed from."""
 
     bits: int
     outcome_counts: dict[int, int]
@@ -92,42 +73,43 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
     return theta, math.sin(math.pi * folded / size) ** 2
 
 
+def _split_model_state(model: NetworkModel, horizon: int, spec: GroverSpec,
+                       qubit_cap: int) -> tuple[Circuit, np.ndarray, np.ndarray, float]:
+    """(circuit, unmarked part, marked part, p) of the model state, p the
+    marked part's squared norm; what ``run`` refuses is refused unbuilt."""
+    if horizon >= 1:
+        check_run_size(model.k * horizon, qubit_cap)
+    base = build_model_circuit(model, horizon)
+    unmarked = run(base, qubit_cap=qubit_cap)
+    marked = _take_marked(unmarked, base, spec)
+    return base, unmarked, marked, float(np.vdot(marked, marked))
+
+
 def _grover_plane(model: NetworkModel, horizon: int, spec: GroverSpec,
                   qubit_cap: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The Grover operator on the plane of the model state's marked and
     unmarked parts: (M, v0, residual, p).
 
     M is the 2x2 matrix of the operator in the basis (unmarked, marked) of
-    normalised parts. v0 = (sqrt(1-p), sqrt(p)) holds the parts' norms, so
-    the model state is v0 in that basis. The residual is how far the
-    operator's image of either basis state leaks out of the plane. When p is
-    0 or 1 a part is zero; its basis state, row and column of M and entry of
-    v0 are then zero too.
+    normalised parts: the rotation by theta = 2 asin(sqrt(p)). v0 =
+    (sqrt(1-p), sqrt(p)) holds the parts' norms, so the model state is v0 in
+    that basis. The residual is |1 - ||unmarked||^2 - ||marked||^2|. When p
+    is 0 or 1 a part is zero; its row and column of M and entry of v0 are
+    then zero too.
     """
-    if horizon >= 1:
-        check_statevector_size(model.k * horizon, qubit_cap, _EIGENPHASE_PEAK,
-                               "the Grover plane")
-    base = build_model_circuit(model, horizon)
-    unmarked_part = run(base, qubit_cap=qubit_cap)
-    marked_part = _take_marked(unmarked_part, base, spec)
-    p = float(np.vdot(marked_part, marked_part))
-    v0 = np.sqrt([np.vdot(unmarked_part, unmarked_part), p])
-    basis = (unmarked_part, marked_part)
-    for part, norm in zip(basis, v0):
-        if norm:
-            part /= norm
-    grover = build_grover(model, horizon, spec)
-    images = [apply_gates(b.copy(), grover.gates, grover.n_qubits) for b in basis]
-    m = np.array([[np.vdot(b, g) for g in images] for b in basis])
-    residual = max(float(np.linalg.norm(g - (m[0, j] * basis[0] + m[1, j] * basis[1])))
-                   for j, g in enumerate(images))
-    return m, v0, residual, p
+    _, unmarked, _, p = _split_model_state(model, horizon, spec, qubit_cap)
+    q = float(np.vdot(unmarked, unmarked))
+    theta = 2.0 * math.asin(math.sqrt(min(p, 1.0)))  # rounding can put p above 1
+    v0 = np.sqrt([q, p])
+    m = np.array([[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]]) * np.outer(v0 > 0, v0 > 0)
+    return m, v0, abs(q + p - 1.0), p
 
 
 def _ancilla_distribution(model: NetworkModel, horizon: int, spec: GroverSpec, bits: int,
                           qubit_cap: int) -> tuple[np.ndarray, float]:
     """Outcome distribution of the phase-estimation ancillas, computed on the
-    Grover plane, and the plane's residual.
+    Grover plane, and the model state's norm residual.
 
     After the controlled powers, ancilla value y leaves the model register in
     M^y v0, so after the inverse Fourier transform outcome z has amplitude
@@ -138,9 +120,6 @@ def _ancilla_distribution(model: NetworkModel, horizon: int, spec: GroverSpec, b
     if horizon >= 1:
         check_run_size(model.k * horizon + bits, qubit_cap)
     m, v0, residual, _ = _grover_plane(model, horizon, spec, qubit_cap)
-    if residual > _LEAK_BOUND:
-        raise CascadeqError(
-            f"the Grover plane leaks {residual!r}, over {_LEAK_BOUND}", code="plane-leak")
     size = 1 << bits
     # X[y] = M^y v0, doubling as the circuit does: ancilla j applies M^(2^j)
     powers = np.empty((size, 2), dtype=complex)
@@ -161,8 +140,7 @@ def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: 
     The ancilla distribution is computed on the Grover plane, with no
     phase-estimation circuit: only the k*horizon model qubits are simulated.
     ``qubit_cap`` and the byte budget still count the ``bits`` ancillas of
-    the circuit being estimated. A plane residual above 1e-8 raises
-    ``CascadeqError`` with code ``plane-leak``.
+    the circuit being estimated.
     """
     if bits < 1:  # before the seed, which the CLI builds from bits
         raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
@@ -196,8 +174,8 @@ def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
     The state after the model circuit splits into marked and unmarked
     components; the Grover operator rotates that plane by theta with
     p = sin^2(theta/2). Exact (no sampling), and cheaper than a dense
-    eigendecomposition. The residual reports how much of the rotated basis
-    leaked outside the plane; it should be at numerical noise level.
+    eigendecomposition. The residual reports how far the model state's norm
+    is from 1; it should be at numerical noise level.
     """
     m, _, residual, p = _grover_plane(model, horizon, spec, qubit_cap)
     if p < 1e-12 or p > 1.0 - 1e-12:

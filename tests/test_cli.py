@@ -412,7 +412,7 @@ def test_dense_engine_over_byte_budget_exits_2(capsys, tmp_path, k, args):
 
 def test_eigenphase_over_its_peak_budget_exits_2_before_allocating(capsys, tmp_path,
                                                                    monkeypatch):
-    # a 23-qubit state is 128 MiB, but the eigenphase peaks at about nine
+    # a 25-qubit state is 512 MiB, and a statevector run is budgeted at 2.65
     # states, past the 1 GiB budget; the refusal must come before the run
     import cascadeq.qae
 
@@ -421,9 +421,29 @@ def test_eigenphase_over_its_peak_budget_exits_2_before_allocating(capsys, tmp_p
 
     monkeypatch.setattr(cascadeq.qae, "run", no_run)
     path = tmp_path / "model.json"
-    path.write_text(save_model(NetworkModel.from_triggers([0.1] * 23, [0.5] * 23, {})))
-    code = main(["qae", "--model", str(path), "--steps", "1", "--config", "*" * 22 + "1",
+    path.write_text(save_model(NetworkModel.from_triggers([0.1] * 25, [0.5] * 25, {})))
+    code = main(["qae", "--model", str(path), "--steps", "1", "--config", "*" * 24 + "1",
                  "--eigenphase", "--qubit-cap", "40"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_lowdepth_past_the_shot_budget_exits_2_before_sampling(capsys, fixtures_dir,
+                                                               monkeypatch):
+    # 10^12 shots would draw terabytes of uniforms; the refusal must come
+    # before the model run and the draws
+    import cascadeq.lowdepth
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the schedule was sampled")
+
+    monkeypatch.setattr(cascadeq.lowdepth, "_power_distributions", no_allocation)
+    monkeypatch.setattr(cascadeq.lowdepth, "sample_marked", no_allocation)
+    code = main(["lowdepth", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--config", "11", "--schedule", "0..8",
+                 "--shots", "1000000000000"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")
@@ -493,24 +513,6 @@ def test_qae_circuit_past_the_gate_budget_exits_2_before_building(capsys, fixtur
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")
-    assert captured.out == ""
-
-
-def test_qae_plane_leak_exits_1(capsys, fixtures_dir, monkeypatch):
-    # an operator that does not keep the plane must not yield a distribution
-    import cascadeq.qae
-    from cascadeq import Circuit, Gate, build_grover
-
-    def leaky_grover(model, horizon, spec):
-        grover = build_grover(model, horizon, spec)
-        return Circuit(grover.n_qubits, grover.gates + (Gate("h", (0,)),), grover.layout)
-
-    monkeypatch.setattr(cascadeq.qae, "build_grover", leaky_grover)
-    code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
-                 "--steps", "3", "--config", "11", "--bits", "3"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error (plane-leak)")
     assert captured.out == ""
 
 

@@ -4,8 +4,10 @@ Exact propagation, trajectory enumeration, the statevector (built directly
 and through the emitted gate listing), the Grover eigenphase and Monte Carlo
 all describe the same step-T distribution, and standard QAE computed on the
 Grover plane gives the phase-estimation circuit's ancilla distribution. The
-float64 statevector of a circuit with no ``phase`` gate is the real part of
-its complex128 run.
+Grover circuit equals the reflection form the library computes with in its
+place, and the schedule's closed-form distributions equal the simulated
+Grover powers. The float64 statevector of a circuit with no ``phase`` gate
+is the real part of its complex128 run.
 """
 import math
 
@@ -28,9 +30,10 @@ from cascadeq import (
     probabilities,
     run,
 )
+from cascadeq.lowdepth import _power_distributions
 from cascadeq.qae import _ancilla_distribution
 from cascadeq.sim import apply_gates
-from helpers import enumerate_distribution
+from helpers import enumerate_distribution, extract_unitary
 
 _PROBABILITY = st.floats(0.0, 1.0)
 
@@ -106,6 +109,43 @@ def test_plane_distribution_matches_phase_estimation_circuit(model, horizon, bit
     got, residual = _ancilla_distribution(model, horizon, spec, bits, qubit_cap=20)
     assert residual < 1e-8
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _marked_basis(circuit, spec: GroverSpec) -> np.ndarray:
+    """Boolean mask of the circuit's basis states that satisfy the mark."""
+    index = np.arange(1 << circuit.n_qubits)
+    mask = np.ones(index.shape, dtype=bool)
+    for node, bit in spec.marked:
+        mask &= (index >> circuit.qubit(node, spec.target_step)) & 1 == bit
+    return mask
+
+
+@settings(max_examples=25, deadline=None)
+@given(models(), _HORIZONS, st.data())
+def test_grover_circuit_is_the_reflection_form(model, horizon, data):
+    # G = -A S0 A^dagger S_chi = (2|psi><psi| - I)(I - 2 Pi), psi = A|0>
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    base = build_model_circuit(model, horizon)
+    psi = run(base)
+    reflection = ((2.0 * np.outer(psi, psi) - np.eye(psi.size))
+                  * np.where(_marked_basis(base, spec), -1.0, 1.0))
+    got = extract_unitary(build_grover(model, horizon, spec))
+    assert np.allclose(got, reflection, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(models(), _HORIZONS, st.data())
+def test_schedule_distributions_match_simulated_grover_powers(model, horizon, data):
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    base = build_model_circuit(model, horizon)
+    grover = build_grover(model, horizon, spec)
+    register = base.register(spec.target_step)
+    state = run(base)
+    powers = range(9)
+    for power, got in zip(powers, _power_distributions(model, horizon, spec, powers,
+                                                       qubit_cap=20)):
+        assert np.allclose(got, probabilities(state, register), rtol=0.0, atol=1e-12)
+        apply_gates(state, grover.gates, grover.n_qubits)
 
 
 @settings(max_examples=25, deadline=None)

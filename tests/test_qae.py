@@ -16,7 +16,7 @@ from cascadeq import (
     run,
     run_standard_qae,
 )
-from cascadeq import qae
+from cascadeq import qae, sim
 from helpers import qpe_distribution, random_model, traced_peak
 
 # three-bit decode grid: outcome -> (theta, probability), three decimals
@@ -151,4 +151,4 @@ def test_grover_plane_peaks_within_its_byte_budget_factor(k, horizon):
     model = random_model(np.random.default_rng(k), k)
     spec = GroverSpec.from_config("1" * k, horizon)
     peak = traced_peak(lambda: qae._grover_plane(model, horizon, spec, qubit_cap=20))
-    assert peak < qae._EIGENPHASE_PEAK * (16 << (k * horizon))
+    assert peak < sim._RUN_PEAK * (16 << (k * horizon))
