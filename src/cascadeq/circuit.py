@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +49,12 @@ __all__ = [
 ]
 
 _GATE_PEAK = 2800
-"""Peak bytes of a builder per gate it returns. Tracemalloc: 987-2,772 on
-model circuits whose nodes have 8-18 trigger ancestors, the most at T=2
-with 18 ancestors, the most the byte budget admits at this factor; 18-257
-on phase-estimation circuits, whose repeated Grover blocks share their
-gates (257 with the ``circuit`` verb's emitted listing and report)."""
+"""Peak bytes of a builder per gate it returns. Tracemalloc: 1,483-2,632 on
+model circuits at T=2 whose nodes have 8-17 trigger ancestors, and 2,772 at
+18 ancestors, the most the byte budget admits at this factor; 17-23 on
+phase-estimation circuits of 9-13 bits, whose repeated Grover blocks share
+their gate objects (171-175 with the ``circuit`` verb's emitted listing and
+report, 120-127 with ``--gates-out``)."""
 
 _KINDS_WITH_ANGLE = {"ry", "phase"}
 _KINDS = {"ry", "x", "z", "h", "phase", "s0", "mark"}
@@ -107,7 +109,9 @@ class Circuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValidationError("circuit needs at least one qubit", code="invalid-circuit")
-        for gate in self.gates:
+        # a tuple, so that a caller's list cannot change under distinct_gates
+        object.__setattr__(self, "gates", tuple(self.gates))
+        for gate in self.distinct_gates:
             if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
                 raise ValidationError(
                     f"gate {gate.kind!r} touches a qubit outside 0..{self.n_qubits - 1}",
@@ -116,6 +120,15 @@ class Circuit:
         values = list(self.layout.values())
         if len(set(values)) != len(values):
             raise ValidationError("layout must be injective", code="invalid-circuit")
+
+    @cached_property
+    def distinct_gates(self) -> tuple[Gate, ...]:
+        """Each gate object once, in first-use order.
+
+        Objects are told apart by identity, not by value: the builders share
+        one object across repeated Grover blocks, and equal gates need not
+        print alike (angles 0.0 and -0.0 compare equal)."""
+        return tuple({id(g): g for g in self.gates}.values())
 
     def qubit(self, node: int, step: int) -> int:
         try:
@@ -256,6 +269,7 @@ def build_model_circuit(model: NetworkModel, horizon: int) -> Circuit:
                 gates.append(Gate("ry", (layout[(n, t + 1)],),
                                   tuple((layout[(m + 1, t)], pol) for m, pol in controls),
                                   angle=angle))
+    del corrections  # else it adds to the peak while Circuit deduplicates the gates
     return Circuit(k * horizon, tuple(gates), layout)
 
 
@@ -399,11 +413,13 @@ def _lower(gate: Gate) -> list[Gate]:
 
 
 def emit_gates(circuit: Circuit) -> str:
-    """One line per gate; s0/mark appear as their controlled-z lowerings."""
-    lines = []
-    for gate in circuit.gates:
-        lines.extend(_emit_line(g) for g in _lower(gate))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One line per gate; s0/mark appear as their controlled-z lowerings.
+
+    Each distinct gate object is formatted once and its text reused for
+    every reference to it."""
+    text: dict[int, str] = {id(gate): "".join(_emit_line(g) + "\n" for g in _lower(gate))
+                            for gate in circuit.distinct_gates}
+    return "".join([text[id(gate)] for gate in circuit.gates])
 
 
 _LINE_RE = re.compile(

@@ -10,7 +10,11 @@ stderr. ``qae`` reports add one with the simulated model qubits, their
 statevector bytes and the largest norm residual of the model state the
 Grover plane is read from. ``mc`` reports add one with the chunks sampled,
 the configuration rows ``p_on`` evaluated, the sampling seconds and the
-trajectories per second, all over every repeat.
+trajectories per second, all over every repeat. ``circuit`` reports add one
+with the distinct gate objects, the most controls on one gate, the listing's
+UTF-8 bytes and the build and emit seconds. With ``--gates-out`` the listing
+goes only to that file, and ``results`` records its path and byte count in
+place of the text.
 ``plotdata`` instead emits CSV series extracted from a previously written
 report.
 
@@ -254,24 +258,36 @@ def _grover_spec(args, model) -> GroverSpec:
 
 def _cmd_circuit(args):
     model = _load_model_file(args.model)
+    started = time.perf_counter()
     if args.kind == "model":
         circuit = build_model_circuit(model, args.steps)
     elif args.kind == "grover":
         circuit = build_grover(model, args.steps, _grover_spec(args, model))
     else:
         circuit = build_qae_circuit(model, args.steps, _grover_spec(args, model), args.bits)
+    built = time.perf_counter()
     text = emit_gates(circuit)
-    if args.gates_out:
-        _write(text, args.gates_out)
+    emit_s = time.perf_counter() - built
+    listing_bytes = len(text.encode("utf-8"))
     results = {
         "kind": args.kind,
         "n_qubits": circuit.n_qubits,
         "gate_count": len(circuit.gates),
-        "gates": text,
     }
+    if args.gates_out:
+        _write(text, args.gates_out)
+        results.update(gates_out=args.gates_out, gates_bytes=listing_bytes)
+    else:
+        results["gates"] = text
     inputs = {"model": args.model, "steps": args.steps, "kind": args.kind,
               "config": args.config, "bits": args.bits}
-    return "circuit", inputs, results, None, None
+    distinct = circuit.distinct_gates
+    metrics = {"distinct_gates": len(distinct),
+               "max_controls": max((len(g.controls) for g in distinct), default=0),
+               "listing_bytes": listing_bytes,
+               "build_s": built - started,
+               "emit_s": emit_s}
+    return "circuit", inputs, results, None, metrics
 
 
 def _cmd_qae(args):
@@ -449,7 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["model", "grover", "qae"], default="model")
     p.add_argument("--config", help="marked configuration pattern, e.g. 11 or 1*")
     p.add_argument("--bits", type=int, default=3, help="resolution for --kind qae")
-    p.add_argument("--gates-out", help="also write the raw gate listing to this file")
+    p.add_argument("--gates-out",
+                   help="write the raw gate listing to this file instead of the report")
     p.set_defaults(handler=_cmd_circuit)
 
     p = sub.add_parser("qae", help="standard amplitude estimation (or eigenphase analysis)")

@@ -5,6 +5,7 @@ fitting paths; expected values must come from first-principles enumeration
 or closed-form expressions. The one exception is :func:`extract_unitary`,
 which reads a circuit's matrix through the simulator for the tests that
 check the simulator's gates and the circuit builders against each other.
+:func:`plain_emit` reuses the package's line format, one gate at a time.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import tracemalloc
 import numpy as np
 
 from cascadeq import Circuit, NetworkModel, ResourceLimitError
+from cascadeq.circuit import _emit_line, _lower
 from cascadeq.sim import apply_gates
 
 
@@ -124,6 +126,11 @@ def extract_unitary(circuit: Circuit, qubit_cap: int = 10) -> np.ndarray:
         column[j] = 1.0
         matrix[:, j] = apply_gates(column, circuit.gates, n)
     return matrix
+
+
+def plain_emit(c: Circuit) -> str:
+    """The gate listing formatted one reference at a time, with no memo."""
+    return "".join(_emit_line(g) + "\n" for gate in c.gates for g in _lower(gate))
 
 
 def traced_peak(fn) -> int:

@@ -17,8 +17,12 @@ from cascadeq import (
     emit_gates,
     parse_gates,
 )
-from cascadeq.circuit import controlled_gates, inverse_gates, inverse_qft_gates
-from helpers import extract_unitary
+from cascadeq.circuit import _emit_line, controlled_gates, inverse_gates, inverse_qft_gates
+from helpers import extract_unitary, plain_emit
+
+# node 1 never fails on its own, so its init rotation has angle 0.0 and the
+# inverse the Grover operator takes of it has -0.0: equal gates, unequal text
+SIGNED_ZERO = NetworkModel.from_triggers([0.0, 0.4], [0.3, 0.8], {(1, 2): 0.2})
 
 
 def test_two_node_circuit_matches_diagram(two_node):
@@ -186,6 +190,23 @@ def test_emit_empty_circuit():
     assert emit_gates(Circuit(1, ())) == ""
 
 
+@pytest.mark.parametrize("which", ["two_node", "signed_zero"])
+def test_emit_matches_a_plain_per_gate_emit(which, two_node):
+    model = two_node if which == "two_node" else SIGNED_ZERO
+    spec = GroverSpec.from_config("11", 3)
+    circuits = [build_model_circuit(model, 3), build_grover(model, 3, spec)]
+    circuits += [build_qae_circuit(model, 3, spec, bits) for bits in range(1, 6)]
+    for circuit in circuits:
+        assert emit_gates(circuit) == plain_emit(circuit)
+
+
+def test_signed_zero_model_holds_equal_gates_that_print_apart():
+    zeros = [g for g in build_grover(SIGNED_ZERO, 3, GroverSpec.from_config("11", 3)).gates
+             if g.angle == 0.0]
+    assert any(a == b and hash(a) == hash(b) and _emit_line(a) != _emit_line(b)
+               for a in zeros for b in zeros)
+
+
 def test_emit_transition_block_polarities(two_node):
     circuit = build_model_circuit(two_node, 2)
     lines = emit_gates(circuit).splitlines()[4:]
@@ -229,6 +250,30 @@ def test_gate_validation():
         Gate("mark", (0,), ((1, 1),))
     with pytest.raises(ValidationError):
         Circuit(1, (Gate("x", (3,)),))
+
+
+def test_range_check_catches_a_repeated_bad_gate_object():
+    bad = Gate("x", (3,))
+    with pytest.raises(ValidationError) as info:
+        Circuit(2, (bad,) * 1000)
+    assert info.value.code == "invalid-circuit"
+
+
+def test_range_check_catches_an_equal_separate_bad_gate_after_good_ones():
+    good, bad, twin = Gate("x", (1,)), Gate("x", (3,)), Gate("x", (3,))
+    assert twin == bad and twin is not bad
+    Circuit(4, (good,) * 500 + (bad,) * 10)  # in range on four qubits
+    with pytest.raises(ValidationError) as info:
+        Circuit(2, (good,) * 500 + (twin,))
+    assert info.value.code == "invalid-circuit"
+
+
+def test_circuit_keeps_its_own_copy_of_a_gate_list():
+    gates = [Gate("x", (0,))]
+    circuit = Circuit(2, gates)
+    gates.append(Gate("x", (5,)))
+    assert circuit.gates == (Gate("x", (0,)),)
+    assert emit_gates(circuit) == "x controls=[] targets=[0]\n"
 
 
 def test_layout_injectivity_checked():

@@ -74,10 +74,32 @@ def test_circuit_gate_listing_round_trips(capsys, fixtures_dir, tmp_path):
                        model_path(fixtures_dir, "two_node_model.json"), "--steps", "2",
                        "--gates-out", str(gates_file))
     text = gates_file.read_text()
-    assert report["results"]["gates"] == text
+    # the listing is written once, to the file; the report records where and how long
+    results = report["results"]
+    assert "gates" not in results
+    assert results["gates_out"] == str(gates_file)
+    assert results["gates_bytes"] == gates_file.stat().st_size == len(text.encode("utf-8"))
     parsed = parse_gates(text)
     angles = sorted(round(g.angle, 3) for g in parsed.gates)
     assert angles == sorted([0.927, 1.982, 0.927, 1.982, 1.055, 1.391, -1.055, 0.135])
+
+
+def test_circuit_metrics_and_rerun(capsys, fixtures_dir):
+    args = ("circuit", "--model", model_path(fixtures_dir, "two_node_model.json"),
+            "--steps", "3", "--kind", "qae", "--config", "11", "--bits", "9")
+    first = report_of(capsys, *args)
+    second = report_of(capsys, *args)
+    assert first["results"] == second["results"]
+    assert set(first["results"]) == {"kind", "n_qubits", "gate_count", "gates"}
+    metrics = first["metrics"]
+    assert set(metrics) == {"distinct_gates", "max_controls", "listing_bytes", "build_s",
+                            "emit_s"}
+    assert first["results"]["gate_count"] == 17454
+    assert metrics["distinct_gates"] == 386
+    # an ancestor pattern's rotation, or the mark, plus the ancilla
+    assert metrics["max_controls"] == 3
+    assert metrics["listing_bytes"] == len(first["results"]["gates"].encode("utf-8"))
+    assert metrics["build_s"] > 0.0 and metrics["emit_s"] > 0.0
 
 
 def test_circuit_grover_kind(capsys, fixtures_dir):
