@@ -21,7 +21,7 @@ import numpy as np
 from .circuit import Circuit, GroverSpec, build_model_circuit
 from .errors import DegenerateSubspaceError, ValidationError
 from .model import NetworkModel, seed_tuple
-from .sim import DEFAULT_QUBIT_CAP, _draw_counts, check_run_size, run
+from .sim import DEFAULT_QUBIT_CAP, _draw_counts, _zeros, check_run_size, run
 
 __all__ = [
     "QaeResult",
@@ -161,7 +161,7 @@ def _take_marked(state: np.ndarray, circuit, spec: GroverSpec) -> np.ndarray:
         sel[n - 1 - circuit.qubit(node, spec.target_step)] = bit
     sel = tuple(sel)
     view = state.reshape([2] * n)
-    marked = np.zeros_like(state)
+    marked = _zeros(len(state), state.dtype)
     marked.reshape([2] * n)[sel] = view[sel]
     view[sel] = 0.0
     return marked

@@ -5,17 +5,23 @@ state in place through one of two kernels:
 
 * The slicing kernel works on the ``[2]*n`` view. Controlled gates slice it
   on their control axes, and a 2x2 gate updates the two halves of its target
-  axis, through a handful of half-size temporaries. Every controlled gate,
-  every diagonal kind (``z``, ``phase``, ``s0``, ``mark``) and every gate on
-  fewer than ``_BLAS_MIN_QUBITS`` qubits takes it.
+  axis. Every controlled gate, every diagonal kind (``z``, ``phase``,
+  ``s0``, ``mark``) and every gate on fewer than ``_BLAS_MIN_QUBITS`` qubits
+  takes it.
 * The BLAS kernel takes an uncontrolled ``ry``, ``x`` or ``h`` on a larger
-  state as one matrix product, written back in place. A target q >= 4 is a
+  state as matrix products, written back in place. A target q >= 4 is a
   batch of (2, 2) @ (2, 2^q) products; a lower target multiplies the
   state's rows of the lowest max(8, 2^(q+1)) amplitudes by one dense block.
-  A complex128 state runs it on copies of its real and imaginary parts, so
-  its real part matches a float64 run of the same gates exactly. The
-  product agrees with the slicing kernel to rounding (within 1e-15 in every
-  amplitude in the tests), not bit for bit.
+  Each product runs on a C-contiguous operand; a complex128 state runs it on
+  copies of its real and imaginary parts, so its real part matches a float64
+  run of the same gates exactly. The product agrees with the slicing kernel
+  to rounding (within 1e-15 in every amplitude in the tests), not bit for
+  bit.
+
+Both kernels work block by block, in scratch that :func:`apply_gates`
+allocates once for all gates, and :func:`probabilities` works block by
+block too; a block holds at most 2^``_BLOCK_QUBITS`` amplitudes, so no
+temporary grows with a large state.
 
 Every gate kind but ``phase`` is real and orthogonal, so :func:`run` holds
 the state as float64 when the circuit has no ``phase`` gate, and as
@@ -24,6 +30,7 @@ complex128 otherwise.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,10 +54,22 @@ DEFAULT_QUBIT_CAP = 20
 
 _RUN_PEAK = 2.65
 """Peak bytes of :func:`run` as a multiple of the 16 * 2^n of one complex128
-state. Tracemalloc at 14-20 qubits: 2.00-2.02 for a complex128 run, from the
-BLAS kernel's copy of the real or imaginary part and its product; 1.00-1.02
-for a float64 run, which it bounds too. The factor is the 2.51-2.65 the
-slicing kernel's temporaries peaked at on every 2x2 gate."""
+state. Tracemalloc, plus the state's own mapping past 2^_BLOCK_QUBITS
+amplitudes, at 14-20 qubits: 1.10-2.05 for a complex128 run and 0.55-1.05
+for a float64 run. That is the state and the kernels' three rows of scratch,
+three quarters of the state at 14 qubits and under a tenth at 20. The
+factor bounds both with room to spare."""
+
+_BLOCK_QUBITS = 15
+"""Blocks of the gate kernels and of :func:`probabilities` hold at most
+2^_BLOCK_QUBITS amplitudes (256 KiB of float64; at least 4 qubits, the BLAS
+kernel's widest dense block), and a larger state gets a memory mapping of
+its own (:func:`_zeros`). So nothing the size of a large state passes
+through the malloc heap, where a freed state or state-sized temporary
+leaves a hole that other allocations can split, and the next one then
+takes fresh pages. With state-sized temporaries, processes doing the same
+20-qubit work peak at either of two levels, 8 MB apart, depending on what
+else allocated in between."""
 
 _SHOT_PEAK = 32
 """Peak bytes of :func:`sample_marked` per shot. Tracemalloc at 10^5 to
@@ -77,6 +96,15 @@ class NoiseSpec:
         if a < 0.0:
             raise ValidationError("decay rate must be >= 0", code="out-of-range")
         return cls(1.0 - math.exp(-a))
+
+
+def _zeros(size: int, dtype) -> np.ndarray:
+    """A zeroed 1-D array of ``size`` entries. Above 2^_BLOCK_QUBITS entries it
+    lies on an anonymous memory mapping of its own, which is unmapped when
+    the array is freed."""
+    if size <= 1 << _BLOCK_QUBITS:
+        return np.zeros(size, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, size * np.dtype(dtype).itemsize), dtype=dtype)
 
 
 def _axis(n: int, qubit: int) -> int:
@@ -126,29 +154,70 @@ def _low_pattern(q: int) -> np.ndarray:
 _LOW_PATTERNS = tuple(_low_pattern(q) for q in range(_LOW_TARGETS))
 
 
-def _blas_update(flat: np.ndarray, u: tuple[float, float, float, float], q: int) -> None:
-    """Apply the 2x2 gate ``u`` to target ``q`` of a real state, in place,
-    with one matrix product."""
+def _blas_blocks(flat: np.ndarray, u: tuple[float, float, float, float], q: int,
+                 block: int) -> tuple[np.ndarray, bool, list[np.ndarray]]:
+    """The BLAS kernel's matrix for the 2x2 gate ``u`` on target ``q`` of the
+    1-D state ``flat``, whether it multiplies from the left, and the views of
+    ``flat`` it updates independently, each of at most ``block`` amplitudes
+    (a power of two, at least 16 or the whole state)."""
     if q < _LOW_TARGETS:
         pattern = _LOW_PATTERNS[q]
         rows = flat.reshape(-1, pattern.shape[0])
-        rows[...] = rows @ np.array((0.0, *u))[pattern]
-    else:
-        pairs = flat.reshape(-1, 2, 1 << q)
-        pairs[...] = np.array(u).reshape(2, 2) @ pairs
+        step = max(1, block // pattern.shape[0])
+        return (np.array((0.0, *u))[pattern], False,
+                [rows[r:r + step] for r in range(0, len(rows), step)])
+    pairs = flat.reshape(-1, 2, 1 << q)
+    if 2 << q <= block:  # whole (2, 2^q) pairs of halves per block
+        step = block >> (q + 1)
+        parts = [pairs[a:a + step] for a in range(0, len(pairs), step)]
+    else:  # column ranges of one pair of halves
+        width = block >> 1
+        parts = [pairs[a, :, j:j + width]
+                 for a in range(len(pairs)) for j in range(0, 1 << q, width)]
+    return np.array(u).reshape(2, 2), True, parts
 
 
-def _apply_gate(view: np.ndarray, gate: Gate, n: int) -> None:
+class _Scratch:
+    """Three rows of 2^_block_qubits(n) entries of an n-qubit state's dtype,
+    shared by the gates of one :func:`apply_gates` call, so that no gate
+    allocates a temporary of its own. :meth:`like` hands them out as views
+    of a block's shape, each made once."""
+
+    def __init__(self, n: int, dtype):
+        self.qubits = _block_qubits(n)
+        self.rows = np.empty((3, 1 << self.qubits), dtype=dtype)
+        self._views: dict = {}
+
+    def like(self, shape: tuple[int, ...], floats: bool = False) -> tuple[np.ndarray, ...]:
+        """The three rows (as float64 if ``floats``) as arrays of ``shape``."""
+        views = self._views.get((shape, floats))
+        if views is None:
+            rows = self.rows.view(float) if floats else self.rows
+            shaped = rows[:, :math.prod(shape)].reshape(3, *shape)
+            views = tuple(shaped[i, ...] for i in range(3))  # 0-d views for shape ()
+            self._views[shape, floats] = views
+        return views
+
+
+def _apply_gate(view: np.ndarray, gate: Gate, n: int, scratch: _Scratch) -> None:
     """Apply one gate in place; ``view`` has shape [2]*n."""
     if n >= _BLAS_MIN_QUBITS and not gate.controls and gate.kind in ("ry", "x", "h"):
-        u, q, flat = _gate_matrix(gate), gate.targets[0], view.reshape(-1)
-        if not np.iscomplexobj(flat):
-            _blas_update(flat, u, q)
-        else:
-            for part in (flat.real, flat.imag):
-                contiguous = part.copy()
-                _blas_update(contiguous, u, q)
-                part[...] = contiguous
+        flat = view.reshape(-1)
+        matrix, left, parts = _blas_blocks(flat, _gate_matrix(gate), gate.targets[0],
+                                           1 << scratch.qubits)
+        real = not np.iscomplexobj(flat)
+        for part in parts:
+            for component in (part,) if real else (part.real, part.imag):
+                operand, product, _ = scratch.like(component.shape, floats=True)
+                if component.flags.c_contiguous:
+                    operand = component
+                else:
+                    np.copyto(operand, component)
+                if left:
+                    np.matmul(matrix, operand, out=product)
+                else:
+                    np.matmul(operand, matrix, out=product)
+                component[...] = product
         return
     sel: list = [slice(None)] * n
     for q, pol in gate.controls:
@@ -158,9 +227,13 @@ def _apply_gate(view: np.ndarray, gate: Gate, n: int) -> None:
         t_ax = _axis(n, gate.targets[0])
         # the trailing Ellipsis keeps a fully indexed half a 0-d view
         lo, hi = (view[(*sel[:t_ax], b, *sel[t_ax + 1:], ...)] for b in (0, 1))
-        a0 = lo.copy()
-        lo[...] = u00 * a0 + u01 * hi
-        hi[...] = u10 * a0 + u11 * hi
+        for lo_part, hi_part in zip(_blocks(lo, scratch.qubits), _blocks(hi, scratch.qubits)):
+            a0, new, term = scratch.like(lo_part.shape)
+            np.copyto(a0, lo_part)
+            for part, (c0, c1) in ((lo_part, (u00, u01)), (hi_part, (u10, u11))):
+                np.multiply(a0, c0, out=new)
+                new += np.multiply(hi_part, c1, out=term)
+                part[...] = new
         return
     # the diagonal kinds: z and phase act where their target is 1, s0 where
     # every target is 0, mark (no target) wherever its controls hold
@@ -168,6 +241,24 @@ def _apply_gate(view: np.ndarray, gate: Gate, n: int) -> None:
         sel[_axis(n, q)] = 0 if gate.kind == "s0" else 1
     view[tuple(sel)] *= (complex(math.cos(gate.angle), math.sin(gate.angle))
                          if gate.kind == "phase" else -1.0)
+
+
+def _block_qubits(n: int) -> int:
+    """Qubits of the largest block the gate kernels update at once in an
+    n-qubit state: a quarter of the state, so that the three rows of scratch
+    stay below the state's size, but at most _BLOCK_QUBITS, and the whole
+    state up to 10 qubits, where more blocks cost more in calls than they
+    save in bytes."""
+    return min(n, _BLOCK_QUBITS, max(10, n - 2))
+
+
+def _blocks(view: np.ndarray, qubits: int) -> list[np.ndarray]:
+    """``view``, of shape [2]*d, as views of at most 2^qubits entries: one
+    per index into its leading d - qubits axes."""
+    lead = view.ndim - qubits
+    if lead <= 0:
+        return [view]
+    return [view[index] for index in np.ndindex(view.shape[:lead])]
 
 
 def apply_gates(state: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> np.ndarray:
@@ -186,8 +277,9 @@ def apply_gates(state: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> np.n
     if not np.iscomplexobj(state) and _has_phase(gates):
         raise ValidationError("a phase gate needs a complex state", code="dtype-mismatch")
     view = state.reshape([2] * n_qubits)
+    scratch = _Scratch(n_qubits, state.dtype)
     for gate in gates:
-        _apply_gate(view, gate, n_qubits)
+        _apply_gate(view, gate, n_qubits, scratch)
     return state
 
 
@@ -200,10 +292,10 @@ def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     unless the circuit has a ``phase`` gate."""
     n = circuit.n_qubits
     check_run_size(n, qubit_cap)
-    state = np.zeros(1 << n, dtype=complex if _has_phase(circuit.gates) else float)
+    state = _zeros(1 << n, complex if _has_phase(circuit.gates) else float)
     state[0] = 1.0
     apply_gates(state, circuit.gates, n)
-    norm = np.linalg.norm(state)
+    norm = math.sqrt(np.vdot(state, state).real)  # no copy of a complex state's parts
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"statevector norm drifted to {norm!r}", code="norm-drift")
     return state
@@ -228,12 +320,20 @@ def probabilities(state: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Marginal distribution over ``qubits``; ``qubits[0]`` is the output LSB."""
     n = _qubit_count(state)
     _check_qubits(qubits, n)
-    p = np.abs(state.reshape([2] * n)) ** 2
-    kept = {_axis(n, q) for q in qubits}
-    other = tuple(ax for ax in range(n) if ax not in kept)
-    if other:
-        p = p.sum(axis=other)
-    rank = {ax: i for i, ax in enumerate(sorted(kept))}
+    kept = sorted(_axis(n, q) for q in qubits)
+    lead = max(0, n - _BLOCK_QUBITS)
+    # summed per block of the [2]*n view: the block's leading indices pick
+    # the entry of p it adds to on the kept leading axes
+    inner_other = tuple(ax - lead for ax in range(lead, n) if ax not in kept)
+    p = np.zeros([2] * len(kept))
+    squares = np.empty(min(len(state), 1 << _BLOCK_QUBITS))
+    for block, index in zip(_blocks(state.reshape([2] * n), _BLOCK_QUBITS),
+                            np.ndindex((2,) * lead)):
+        part = squares.reshape(block.shape)
+        np.square(np.abs(block, out=part), out=part)
+        p[tuple(index[ax] for ax in kept if ax < lead)] += (
+            part.sum(axis=inner_other) if inner_other else part)
+    rank = {ax: i for i, ax in enumerate(kept)}
     perm = [rank[_axis(n, q)] for q in reversed(qubits)]
     return p.transpose(perm).reshape(-1)
 

@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 
-from cascadeq import Circuit, NetworkModel, ResourceLimitError
+from cascadeq import Circuit, NetworkModel, ResourceLimitError, sim
 from cascadeq.circuit import _emit_line, _lower
 from cascadeq.sim import apply_gates
 
@@ -131,6 +131,13 @@ def extract_unitary(circuit: Circuit, qubit_cap: int = 10) -> np.ndarray:
 def plain_emit(c: Circuit) -> str:
     """The gate listing formatted one reference at a time, with no memo."""
     return "".join(_emit_line(g) + "\n" for gate in c.gates for g in _lower(gate))
+
+
+def mapped_bytes(state: np.ndarray) -> int:
+    """Bytes of a statevector from ``cascadeq.sim`` that tracemalloc does not
+    trace: all of them when it lies on a memory mapping of its own (past
+    2^_BLOCK_QUBITS amplitudes), else 0."""
+    return state.nbytes if len(state) > 1 << sim._BLOCK_QUBITS else 0
 
 
 def traced_peak(fn) -> int:

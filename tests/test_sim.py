@@ -20,7 +20,7 @@ from cascadeq import (
 )
 from cascadeq import sim
 from cascadeq.sim import _draw_counts, apply_gates, sample_marked
-from helpers import extract_unitary, random_model, traced_peak
+from helpers import extract_unitary, mapped_bytes, random_model, traced_peak
 
 
 def test_single_rotation_probability():
@@ -118,6 +118,65 @@ def test_run_peaks_within_its_byte_budget_factor(k, horizon):
     complex_circuit = Circuit(n, (Gate("phase", (0,), angle=0.3),) + real.gates + grover.gates)
     for circuit in (real, grover, complex_circuit):
         assert traced_peak(lambda: run(circuit)) < sim._RUN_PEAK * (16 << n)
+
+
+def _model_grover_and_complex(k, horizon):
+    model = random_model(np.random.default_rng(k), k)
+    real = build_model_circuit(model, horizon)
+    grover = build_grover(model, horizon, GroverSpec.from_config("1" * k, horizon))
+    phase = (Gate("phase", (0,), angle=0.3),)
+    return real, grover, Circuit(real.n_qubits, phase + real.gates + grover.gates)
+
+
+@pytest.mark.parametrize("k, horizon", [(2, 5), (3, 4)])
+def test_small_blocks_match_the_default_blocks(monkeypatch, k, horizon):
+    # at 10 and 12 qubits the default blocks are a quarter of the state;
+    # blocks of 2^4 amplitudes split every target and control pattern, and
+    # put the state on a mapping of its own
+    circuits = _model_grover_and_complex(k, horizon)
+    registers = [circuits[0].register(t) for t in (1, horizon)]
+    for circuit in circuits:
+        n = circuit.n_qubits
+        want = run(circuit)
+        marginals = [probabilities(want, register) for register in registers]
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_BLOCK_QUBITS", 4)
+            got = run(circuit)
+            assert mapped_bytes(got) == got.nbytes
+            assert np.max(np.abs(got - want)) <= 1e-14, n
+            for register, marginal in zip(registers, marginals):
+                assert np.max(np.abs(probabilities(got, register) - marginal)) <= 1e-15
+
+
+def test_blocked_real_run_is_the_complex_runs_real_part(monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 4)
+    real, grover, _ = _model_grover_and_complex(3, 4)
+    for circuit in (real, grover):
+        full = sim._zeros(1 << circuit.n_qubits, complex)
+        full[0] = 1.0
+        apply_gates(full, circuit.gates, circuit.n_qubits)
+        assert np.array_equal(run(circuit), full.real)
+        assert not full.imag.any()
+
+
+@pytest.mark.parametrize("k, horizon", [(4, 4), (4, 5)])
+def test_large_runs_allocate_no_state_sized_temporary(k, horizon):
+    # 16 and 20 qubits: the state lies on a mapping of its own, which
+    # tracemalloc does not see, and the heap holds the kernels' three rows
+    # of scratch, the marginals' block of squares and numpy's small buffers
+    circuits = _model_grover_and_complex(k, horizon)
+    n = circuits[0].n_qubits
+    register = circuits[0].register(horizon)
+    slack = 1 << 19
+    for circuit in circuits:
+        states = []
+        peak = traced_peak(lambda: states.append(run(circuit)))
+        state = states[0]
+        assert mapped_bytes(state) == state.nbytes
+        assert peak < 3 * (state.itemsize << sim._block_qubits(n)) + slack
+        assert peak + state.nbytes < sim._RUN_PEAK * (16 << n)
+        peak = traced_peak(lambda: probabilities(state, register))
+        assert peak < (8 << sim._BLOCK_QUBITS) + slack
 
 
 def test_two_node_register_marginals(two_node):
