@@ -184,9 +184,13 @@ class GroverSpec:
             raise ValidationError("pattern marks no node", code="invalid-mark")
         return cls(step, tuple(marked))
 
-    def matches(self, config: int) -> bool:
-        """Does a register-local configuration integer satisfy the mark?"""
-        return all((config >> (n - 1)) & 1 == b for n, b in self.marked)
+    def matches(self, config):
+        """Does a register-local configuration integer satisfy the mark? For
+        an integer array, the boolean array of the answers."""
+        hit = True
+        for n, b in self.marked:
+            hit = hit & ((config >> (n - 1)) & 1 == b)
+        return hit
 
 
 # --- builders ----------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 from .circuit import GroverSpec
 from .errors import FitDivergedError, ParseError, ValidationError, check_dense_bytes
 from .model import NetworkModel, seed_tuple
-from .qae import _split_model_state
-from .sim import _SHOT_PEAK, DEFAULT_QUBIT_CAP, NoiseSpec, probabilities, sample_marked
+from .qae import _register_parts
+from .sim import _SHOT_PEAK, DEFAULT_QUBIT_CAP, NoiseSpec, sample_marked
 
 __all__ = [
     "LowDepthTrace",
@@ -114,12 +114,12 @@ def _power_distributions(model: NetworkModel, horizon: int, spec: GroverSpec, po
     """Run the model once; iterate the register distribution after each of
     ``powers`` Grover applications. The operator rotates the plane of the
     state's marked and unmarked parts by 2a, sin(a) = sqrt(p), so power l
-    mixes their normalised register marginals (an empty part's stays zero)
-    with weights sin^2((2l+1)a) and cos^2((2l+1)a)."""
-    base, unmarked, marked, p = _split_model_state(model, horizon, spec, qubit_cap)
-    register = base.register(spec.target_step)
-    marginals = [probabilities(part, register) for part in (marked, unmarked)]
-    on, off = (m / m.sum() if m.any() else m for m in marginals)
+    mixes the two parts of the register marginal, each normalised (an empty
+    part stays zero), with weights sin^2((2l+1)a) and cos^2((2l+1)a); p is
+    the marked part's sum."""
+    marked, unmarked = _register_parts(model, horizon, spec, qubit_cap)
+    p = float(marked.sum())
+    on, off = (m / m.sum() if m.any() else m for m in (marked, unmarked))
     angle = math.asin(math.sqrt(min(p, 1.0)))
     weights = (math.sin((2 * l + 1) * angle) ** 2 for l in powers)
     return (w * on + (1.0 - w) * off for w in weights)
@@ -152,7 +152,7 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
     epsilon = noise.per_grover_error if noise is not None else 0.0
     seeds = seed_tuple(seed)
     distributions = _power_distributions(model, horizon, spec, schedule, qubit_cap)
-    mask = np.fromiter((spec.matches(v) for v in range(1 << model.k)), dtype=bool)
+    mask = spec.matches(np.arange(1 << model.k))
     counts = tuple(
         sample_marked(probs, mask, n, (1.0 - epsilon) ** power,
                       np.random.default_rng((*seeds, power)))

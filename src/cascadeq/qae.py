@@ -4,11 +4,14 @@ Both read the Grover operator -A S0 A^dagger S_chi on its invariant plane.
 It equals (2|psi><psi| - I)(I - 2 Pi), with psi = A|0> the model state and
 Pi the projector on the marked basis states (Brassard, Hoyer, Mosca and
 Tapp, arXiv:quant-ph/0005055), so on the plane of psi's marked and unmarked
-parts it is the rotation M by theta = 2 asin(sqrt(p)), p the marked mass:
-one model run gives it, and no Grover gate is simulated. Standard QAE needs
-no phase-estimation circuit: its ancilla distribution is an FFT over M^y v0,
+parts it is the rotation M by theta = 2 asin(sqrt(p)), p the marked mass.
+The marked event pins nodes of one time-step register, so p is a sum over
+that register's 2^k-entry marginal: one model run gives it, no second state
+is made and no Grover gate is simulated. Standard QAE needs no
+phase-estimation circuit: its ancilla distribution is an FFT over M^y v0,
 equal to the circuit's ancilla marginals to rounding. The residual is how
-far the model state's norm is from 1, the one error the closed form leaves.
+far the register marginal's total is from 1, the one error the closed form
+leaves.
 """
 from __future__ import annotations
 
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, GroverSpec, build_model_circuit
+from .circuit import GroverSpec, build_model_circuit
 from .errors import DegenerateSubspaceError, ValidationError
 from .model import NetworkModel, seed_tuple
-from .sim import DEFAULT_QUBIT_CAP, _draw_counts, _zeros, check_run_size, run
+from .sim import DEFAULT_QUBIT_CAP, _draw_counts, check_run_size, probabilities, run
 
 __all__ = [
     "QaeResult",
@@ -73,16 +76,20 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
     return theta, math.sin(math.pi * folded / size) ** 2
 
 
-def _split_model_state(model: NetworkModel, horizon: int, spec: GroverSpec,
-                       qubit_cap: int) -> tuple[Circuit, np.ndarray, np.ndarray, float]:
-    """(circuit, unmarked part, marked part, p) of the model state, p the
-    marked part's squared norm; what ``run`` refuses is refused unbuilt."""
+def _register_parts(model: NetworkModel, horizon: int,
+                    spec: GroverSpec, qubit_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(marked, unmarked) parts of the model state's target-register
+    marginal: each holds the marginal at its own configurations and 0 at
+    the other's. What ``run`` refuses is refused unbuilt, and a marked node
+    or step outside the layout before the run."""
     if horizon >= 1:
         check_run_size(model.k * horizon, qubit_cap)
     base = build_model_circuit(model, horizon)
-    unmarked = run(base, qubit_cap=qubit_cap)
-    marked = _take_marked(unmarked, base, spec)
-    return base, unmarked, marked, float(np.vdot(marked, marked))
+    for node, _ in spec.marked:  # matches() alone would pass a node past k at bit 0
+        base.qubit(node, spec.target_step)
+    dist = probabilities(run(base, qubit_cap=qubit_cap), base.register(spec.target_step))
+    mask = spec.matches(np.arange(len(dist)))
+    return np.where(mask, dist, 0.0), np.where(mask, 0.0, dist)
 
 
 def _grover_plane(model: NetworkModel, horizon: int, spec: GroverSpec,
@@ -93,12 +100,12 @@ def _grover_plane(model: NetworkModel, horizon: int, spec: GroverSpec,
     M is the 2x2 matrix of the operator in the basis (unmarked, marked) of
     normalised parts: the rotation by theta = 2 asin(sqrt(p)). v0 =
     (sqrt(1-p), sqrt(p)) holds the parts' norms, so the model state is v0 in
-    that basis. The residual is |1 - ||unmarked||^2 - ||marked||^2|. When p
-    is 0 or 1 a part is zero; its row and column of M and entry of v0 are
-    then zero too.
+    that basis. p and q, the unmarked mass, are the sums of the two parts of
+    the target register's marginal, and the residual is |1 - p - q|, how far
+    the marginal's total is from 1. When p is 0 or 1 a part is zero; its row
+    and column of M and entry of v0 are then zero too.
     """
-    _, unmarked, _, p = _split_model_state(model, horizon, spec, qubit_cap)
-    q = float(np.vdot(unmarked, unmarked))
+    p, q = (float(part.sum()) for part in _register_parts(model, horizon, spec, qubit_cap))
     theta = 2.0 * math.asin(math.sqrt(min(p, 1.0)))  # rounding can put p above 1
     v0 = np.sqrt([q, p])
     m = np.array([[math.cos(theta), -math.sin(theta)],
@@ -152,35 +159,21 @@ def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: 
     return QaeResult(bits, counts, modal, theta, probability, residual)
 
 
-def _take_marked(state: np.ndarray, circuit, spec: GroverSpec) -> np.ndarray:
-    """Move the marked part of ``state`` into a new array, zeroing it in
-    ``state``, by slicing the [2]*n view on the marked qubits."""
-    n = circuit.n_qubits
-    sel: list = [slice(None)] * n
-    for node, bit in spec.marked:
-        sel[n - 1 - circuit.qubit(node, spec.target_step)] = bit
-    sel = tuple(sel)
-    view = state.reshape([2] * n)
-    marked = _zeros(len(state), state.dtype)
-    marked.reshape([2] * n)[sel] = view[sel]
-    view[sel] = 0.0
-    return marked
-
-
 def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
                       qubit_cap: int = DEFAULT_QUBIT_CAP) -> EigenphaseResult:
     """Read the rotation angle of the Grover operator from its invariant plane.
 
     The state after the model circuit splits into marked and unmarked
-    components; the Grover operator rotates that plane by theta with
-    p = sin^2(theta/2). Exact (no sampling), and cheaper than a dense
-    eigendecomposition. The residual reports how far the model state's norm
+    components; the Grover operator rotates that plane by
+    theta = 2 asin(sqrt(p)), p the marked mass of the target register's
+    marginal. Exact (no sampling), and cheaper than a dense
+    eigendecomposition. The residual reports how far that marginal's total
     is from 1; it should be at numerical noise level.
     """
-    m, _, residual, p = _grover_plane(model, horizon, spec, qubit_cap)
+    _, _, residual, p = _grover_plane(model, horizon, spec, qubit_cap)
     if p < 1e-12 or p > 1.0 - 1e-12:
         raise DegenerateSubspaceError(
             f"marked probability {p!r} leaves no two-dimensional rotation plane")
-    theta = math.atan2(m[1, 0], m[0, 0])
+    theta = 2.0 * math.asin(math.sqrt(p))
     lam = cmath.exp(1j * theta)
     return EigenphaseResult(theta, lam, lam.conjugate(), math.sin(theta / 2.0) ** 2, residual)

@@ -104,6 +104,13 @@ def test_layout_and_register(two_node):
         circuit.qubit(1, 4)
 
 
+def test_grover_spec_matches_an_array_of_configurations():
+    spec = GroverSpec.from_config("1*0", 2)
+    configs = np.arange(8)
+    assert spec.matches(configs).tolist() == [spec.matches(int(c)) for c in configs]
+    assert spec.matches(configs).tolist() == [False] * 4 + [True, False, True, False]
+
+
 def test_grover_spec_parsing():
     spec = GroverSpec.from_config("10", 3)
     assert spec.marked == ((1, 0), (2, 1))

@@ -74,6 +74,13 @@ def test_run_schedule_statistics(two_node):
         assert abs(marked - 30 * p) <= bound
 
 
+def test_run_schedule_seeded_trace_is_pinned(two_node):
+    # literals, so a change to how p is summed cannot move a seeded trace unseen
+    trace = run_schedule(two_node, 3, GroverSpec.from_config("11", 3), range(9), 200,
+                         noise=NoiseSpec(0.05), seed=6)
+    assert trace.marked == (67, 179, 5, 151, 83, 42, 164, 27, 116)
+
+
 def test_run_schedule_power_zero_estimates_probability(one_node):
     spec = GroverSpec.from_config("1", 2)
     trace = run_schedule(one_node, 2, spec, [0], 40_000, seed=3)

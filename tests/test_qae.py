@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cascadeq import (
     grover_eigenphase,
     probabilities,
     run,
+    run_schedule,
     run_standard_qae,
 )
 from cascadeq import qae, sim
@@ -72,6 +74,27 @@ def test_qae_ancilla_distribution_matches_closed_form(two_node):
     p_exact = evaluate(two_node, 3)[3].probability(3)
     theta = 2.0 * math.asin(math.sqrt(p_exact))
     assert np.max(np.abs(measured - qpe_distribution(theta, 3))) < 1e-12
+
+
+def test_qae_seeded_counts_are_pinned(two_node):
+    # literals, so a change to how p is summed cannot move a seeded count unseen
+    result = run_standard_qae(two_node, 3, GroverSpec.from_config("11", 3), 4, 2000, 17)
+    assert result.outcome_counts == {0: 6, 1: 3, 2: 14, 3: 959, 4: 21, 5: 5, 6: 3,
+                                     7: 3, 9: 1, 10: 3, 11: 2, 12: 37, 13: 921,
+                                     14: 20, 15: 2}
+
+
+@pytest.mark.parametrize("spec", [GroverSpec(3, ((5, 0),)), GroverSpec(4, ((1, 1),))],
+                         ids=["node-past-k", "step-past-horizon"])
+def test_out_of_range_specs_are_refused(two_node, spec):
+    # the configuration mask alone would accept node 5 at bit 0
+    calls = [lambda: grover_eigenphase(two_node, 3, spec),
+             lambda: run_standard_qae(two_node, 3, spec, 4, 100, 1),
+             lambda: run_schedule(two_node, 3, spec, range(3), 10)]
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.code == "invalid-node-index"
 
 
 def test_qae_modal_estimates(two_node):
@@ -155,12 +178,25 @@ def test_grover_plane_peaks_within_its_byte_budget_factor(k, horizon):
 
 
 @pytest.mark.parametrize("k, horizon", [(4, 4), (4, 5)])
-def test_grover_plane_with_mapped_parts_peaks_within_its_byte_budget_factor(k, horizon):
-    # at 16 and 20 qubits the marked and unmarked float64 parts lie on
-    # mappings of their own, which tracemalloc does not see: count them
+def test_grover_plane_with_mapped_parts_peaks_within_its_byte_budget_factor(
+        k, horizon, monkeypatch):
+    # at 16 and 20 qubits the float64 model state lies on a mapping of its
+    # own, which tracemalloc does not see: count it; the plane is read from
+    # its register marginal, so it is the only state made
     model = random_model(np.random.default_rng(k), k)
     spec = GroverSpec.from_config("1" * k, horizon)
     n = k * horizon
     assert n > sim._BLOCK_QUBITS
+    lengths = []
+    new_mapping = mmap.mmap
+
+    def counted_mapping(fileno, length):
+        lengths.append(length)
+        return new_mapping(fileno, length)
+
+    # every state sim._zeros makes at this size is such a mapping, whichever
+    # module calls it
+    monkeypatch.setattr(mmap, "mmap", counted_mapping)
     peak = traced_peak(lambda: qae._grover_plane(model, horizon, spec, qubit_cap=20))
-    assert peak + 2 * (8 << n) < sim._RUN_PEAK * (16 << n)
+    assert lengths == [8 << n]
+    assert peak + (8 << n) < sim._RUN_PEAK * (16 << n)
