@@ -1,27 +1,19 @@
 """Dense statevector simulation of the gate IR.
 
-Basis index bit q is qubit q (qubit 0 least significant). A gate updates the
-state in place through one of two kernels:
+Basis index bit q is qubit q (qubit 0 least significant). :func:`apply_gates`
+updates the state in place on its ``[2]*n`` view: a controlled gate slices
+the view on its control axes, a 2x2 gate updates the two halves of its
+target axis, and a diagonal kind (``z``, ``phase``, ``s0``, ``mark``)
+scales the slice where it acts. It works block by block, in scratch that it
+allocates once for all gates, and :func:`probabilities` works block by block
+too; a block holds at most 2^``_BLOCK_QUBITS`` amplitudes, so no temporary
+grows with a large state.
 
-* The slicing kernel works on the ``[2]*n`` view. Controlled gates slice it
-  on their control axes, and a 2x2 gate updates the two halves of its target
-  axis. Every controlled gate, every diagonal kind (``z``, ``phase``,
-  ``s0``, ``mark``) and every gate on fewer than ``_BLAS_MIN_QUBITS`` qubits
-  takes it.
-* The BLAS kernel takes an uncontrolled ``ry``, ``x`` or ``h`` on a larger
-  state as matrix products, written back in place. A target q >= 4 is a
-  batch of (2, 2) @ (2, 2^q) products; a lower target multiplies the
-  state's rows of the lowest max(8, 2^(q+1)) amplitudes by one dense block.
-  Each product runs on a C-contiguous operand; a complex128 state runs it on
-  copies of its real and imaginary parts, so its real part matches a float64
-  run of the same gates exactly. The product agrees with the slicing kernel
-  to rounding (within 1e-15 in every amplitude in the tests), not bit for
-  bit.
-
-Both kernels work block by block, in scratch that :func:`apply_gates`
-allocates once for all gates, and :func:`probabilities` works block by
-block too; a block holds at most 2^``_BLOCK_QUBITS`` amplitudes, so no
-temporary grows with a large state.
+:func:`run` writes the product state of a circuit's leading uncontrolled
+``ry`` gates on qubits 0, 1, 2, ... (the initial layer of a model circuit)
+directly, by doubling, and passes the other gates to :func:`apply_gates`.
+Each amplitude is the product those gates give on |0...0>, in the same
+order, so the state is bit for bit the one :func:`apply_gates` would give.
 
 Every gate kind but ``phase`` is real and orthogonal, so :func:`run` holds
 the state as float64 when the circuit has no ``phase`` gate, and as
@@ -55,21 +47,21 @@ DEFAULT_QUBIT_CAP = 20
 _RUN_PEAK = 2.65
 """Peak bytes of :func:`run` as a multiple of the 16 * 2^n of one complex128
 state. Tracemalloc, plus the state's own mapping past 2^_BLOCK_QUBITS
-amplitudes, at 14-20 qubits: 1.10-2.05 for a complex128 run and 0.55-1.05
-for a float64 run. That is the state and the kernels' three rows of scratch,
-three quarters of the state at 14 qubits and under a tenth at 20. The
-factor bounds both with room to spare."""
+amplitudes, on model, Grover and phase-prefixed circuits at 14-20 qubits:
+1.10-2.04 for a complex128 run and 0.55-1.04 for a float64 run. That is the
+state and the kernel's three rows of scratch, three quarters of the state at
+14 qubits and under a tenth at 20. The factor bounds both with room to
+spare."""
 
 _BLOCK_QUBITS = 15
-"""Blocks of the gate kernels and of :func:`probabilities` hold at most
-2^_BLOCK_QUBITS amplitudes (256 KiB of float64; at least 4 qubits, the BLAS
-kernel's widest dense block), and a larger state gets a memory mapping of
-its own (:func:`_zeros`). So nothing the size of a large state passes
-through the malloc heap, where a freed state or state-sized temporary
-leaves a hole that other allocations can split, and the next one then
-takes fresh pages. With state-sized temporaries, processes doing the same
-20-qubit work peak at either of two levels, 8 MB apart, depending on what
-else allocated in between."""
+"""Blocks of the gate kernel and of :func:`probabilities` hold at most
+2^_BLOCK_QUBITS amplitudes (256 KiB of float64), and a larger state gets a
+memory mapping of its own (:func:`_zeros`). So nothing the size of a large
+state passes through the malloc heap, where a freed state or state-sized
+temporary leaves a hole that other allocations can split, and the next one
+then takes fresh pages. With state-sized temporaries, processes doing the
+same 20-qubit work peak at either of two levels, 8 MB apart, depending on
+what else allocated in between."""
 
 _SHOT_PEAK = 32
 """Peak bytes of :func:`sample_marked` per shot. Tracemalloc at 10^5 to
@@ -125,58 +117,6 @@ def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
     return _MATRICES[gate.kind]
 
 
-_BLAS_MIN_QUBITS = 3
-"""Smallest state, in qubits, whose uncontrolled 2x2 gates take the BLAS
-kernel: the smallest the eight-wide block of a low target fits. Measured
-per gate with single-threaded OpenBLAS, the matrix set-up included, the BLAS
-kernel is the faster from there on: 1.8 us against 3.3-4.3 us at 3 qubits,
-1.6-2.0 against 3.6-4.9 us at 6, 2.0-2.4 against 4.9-10 us at 10, and
-0.26-0.80 ms against 0.59-4.8 ms at 20."""
-
-_LOW_TARGETS = 4
-"""Targets below this take one dense block of the lowest qubits: a batch of
-(2, 2) @ (2, 2^q) products is slower there (at 20 qubits 2.4 ms at q = 2
-and 1.3 ms at q = 3, against 0.63 and 0.70 ms for the block) and faster
-from q = 4 on (0.69 ms against 0.97 ms)."""
-
-
-def _low_pattern(q: int) -> np.ndarray:
-    """Transposed dense block of a 2x2 gate U on qubit q of the lowest
-    max(3, q+1) qubits, as indices into (0, u00, u01, u10, u11): entry (i, j)
-    is U's entry (bit q of j, bit q of i) where i and j agree off bit q, and
-    0 elsewhere."""
-    index = np.arange(max(8, 2 << q))
-    bit = (index >> q) & 1
-    rest = index & ~(1 << q)
-    return np.where(rest[:, None] == rest, 1 + 2 * bit + bit[:, None], 0)
-
-
-_LOW_PATTERNS = tuple(_low_pattern(q) for q in range(_LOW_TARGETS))
-
-
-def _blas_blocks(flat: np.ndarray, u: tuple[float, float, float, float], q: int,
-                 block: int) -> tuple[np.ndarray, bool, list[np.ndarray]]:
-    """The BLAS kernel's matrix for the 2x2 gate ``u`` on target ``q`` of the
-    1-D state ``flat``, whether it multiplies from the left, and the views of
-    ``flat`` it updates independently, each of at most ``block`` amplitudes
-    (a power of two, at least 16 or the whole state)."""
-    if q < _LOW_TARGETS:
-        pattern = _LOW_PATTERNS[q]
-        rows = flat.reshape(-1, pattern.shape[0])
-        step = max(1, block // pattern.shape[0])
-        return (np.array((0.0, *u))[pattern], False,
-                [rows[r:r + step] for r in range(0, len(rows), step)])
-    pairs = flat.reshape(-1, 2, 1 << q)
-    if 2 << q <= block:  # whole (2, 2^q) pairs of halves per block
-        step = block >> (q + 1)
-        parts = [pairs[a:a + step] for a in range(0, len(pairs), step)]
-    else:  # column ranges of one pair of halves
-        width = block >> 1
-        parts = [pairs[a, :, j:j + width]
-                 for a in range(len(pairs)) for j in range(0, 1 << q, width)]
-    return np.array(u).reshape(2, 2), True, parts
-
-
 class _Scratch:
     """Three rows of 2^_block_qubits(n) entries of an n-qubit state's dtype,
     shared by the gates of one :func:`apply_gates` call, so that no gate
@@ -188,37 +128,18 @@ class _Scratch:
         self.rows = np.empty((3, 1 << self.qubits), dtype=dtype)
         self._views: dict = {}
 
-    def like(self, shape: tuple[int, ...], floats: bool = False) -> tuple[np.ndarray, ...]:
-        """The three rows (as float64 if ``floats``) as arrays of ``shape``."""
-        views = self._views.get((shape, floats))
+    def like(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """The three rows as arrays of ``shape``."""
+        views = self._views.get(shape)
         if views is None:
-            rows = self.rows.view(float) if floats else self.rows
-            shaped = rows[:, :math.prod(shape)].reshape(3, *shape)
+            shaped = self.rows[:, :math.prod(shape)].reshape(3, *shape)
             views = tuple(shaped[i, ...] for i in range(3))  # 0-d views for shape ()
-            self._views[shape, floats] = views
+            self._views[shape] = views
         return views
 
 
 def _apply_gate(view: np.ndarray, gate: Gate, n: int, scratch: _Scratch) -> None:
     """Apply one gate in place; ``view`` has shape [2]*n."""
-    if n >= _BLAS_MIN_QUBITS and not gate.controls and gate.kind in ("ry", "x", "h"):
-        flat = view.reshape(-1)
-        matrix, left, parts = _blas_blocks(flat, _gate_matrix(gate), gate.targets[0],
-                                           1 << scratch.qubits)
-        real = not np.iscomplexobj(flat)
-        for part in parts:
-            for component in (part,) if real else (part.real, part.imag):
-                operand, product, _ = scratch.like(component.shape, floats=True)
-                if component.flags.c_contiguous:
-                    operand = component
-                else:
-                    np.copyto(operand, component)
-                if left:
-                    np.matmul(matrix, operand, out=product)
-                else:
-                    np.matmul(operand, matrix, out=product)
-                component[...] = product
-        return
     sel: list = [slice(None)] * n
     for q, pol in gate.controls:
         sel[_axis(n, q)] = pol
@@ -244,7 +165,7 @@ def _apply_gate(view: np.ndarray, gate: Gate, n: int, scratch: _Scratch) -> None
 
 
 def _block_qubits(n: int) -> int:
-    """Qubits of the largest block the gate kernels update at once in an
+    """Qubits of the largest block the gate kernel updates at once in an
     n-qubit state: a quarter of the state, so that the three rows of scratch
     stay below the state's size, but at most _BLOCK_QUBITS, and the whole
     state up to 10 qubits, where more blocks cost more in calls than they
@@ -294,7 +215,19 @@ def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     check_run_size(n, qubit_cap)
     state = _zeros(1 << n, complex if _has_phase(circuit.gates) else float)
     state[0] = 1.0
-    apply_gates(state, circuit.gates, n)
+    # the product prefix, gate j an uncontrolled ry on qubit j: before it only
+    # amplitudes below 2^j are nonzero, so it writes them times s above them
+    # and times c in place
+    j = 0
+    for gate in circuit.gates:
+        if gate.kind != "ry" or gate.controls or gate.targets != (j,):
+            break
+        c, _, s, _ = _gate_matrix(gate)
+        h = 1 << j
+        np.multiply(state[:h], s, out=state[h:2 * h])
+        state[:h] *= c
+        j += 1
+    apply_gates(state, circuit.gates[j:], n)
     norm = math.sqrt(np.vdot(state, state).real)  # no copy of a complex state's parts
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"statevector norm drifted to {norm!r}", code="norm-drift")
@@ -378,11 +311,11 @@ def sample_marked(probs: np.ndarray, marked: np.ndarray, shots: int,
 
 
 def _qubit_count(state: np.ndarray) -> int:
-    n = int(math.log2(state.shape[0]))
-    if state.shape != (1 << n,):
+    size = state.shape[0] if state.ndim == 1 else 0
+    if size < 1 or size & (size - 1):
         raise ValidationError("statevector length must be a power of two",
                               code="dimension-mismatch")
-    return n
+    return size.bit_length() - 1
 
 
 def _check_qubits(qubits: Sequence[int], n: int) -> None:

@@ -70,42 +70,51 @@ def test_resource_limit():
         extract_unitary(Circuit(11, ()))
 
 
-def _random_state(rng: np.random.Generator, n: int, dtype) -> np.ndarray:
-    state = rng.standard_normal(1 << n)
-    if dtype is complex:
-        state = state + 1j * rng.standard_normal(1 << n)
-    return state / np.linalg.norm(state)
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_blas_kernel_matches_the_slicing_kernel(monkeypatch, dtype):
-    rng = np.random.default_rng(23)
-    kinds = (("ry", float(rng.uniform(-4.0, 4.0))), ("x", None), ("h", None))
-    # sizes below the crossover, at it, and up to 14 qubits, where every
-    # target from the dense low block to the batched product is reached
-    for n in (1, 2, sim._BLAS_MIN_QUBITS, 4, 5, 9, 14):
-        state = _random_state(rng, n, dtype)
-        for q in range(n):
-            for kind, angle in kinds:
-                gate = Gate(kind, (q,), angle=angle)
-                got = apply_gates(state.copy(), [gate], n)
-                with monkeypatch.context() as patch:
-                    patch.setattr(sim, "_BLAS_MIN_QUBITS", n + 1)
-                    want = apply_gates(state.copy(), [gate], n)
-                assert got.dtype == want.dtype
-                assert np.max(np.abs(got - want)) <= 1e-15, (n, q, gate.kind)
-
-
-def test_real_run_is_the_complex_runs_real_part_above_the_crossover():
+def test_real_run_is_the_complex_runs_real_part():
     model = random_model(np.random.default_rng(5), 3)
     spec = GroverSpec.from_config("1*0", 4)
     for circuit in (build_model_circuit(model, 4), build_grover(model, 4, spec)):
-        assert circuit.n_qubits == 12 > sim._BLAS_MIN_QUBITS
         full = np.zeros(1 << circuit.n_qubits, dtype=complex)
         full[0] = 1.0
         apply_gates(full, circuit.gates, circuit.n_qubits)
         assert np.array_equal(run(circuit), full.real)
         assert not full.imag.any()
+
+
+def test_run_writes_the_initial_layer_as_apply_gates_would(monkeypatch):
+    reached = []
+
+    def counting(state, gates, n_qubits):
+        reached.append(len(gates))
+        return apply_gates(state, gates, n_qubits)
+
+    monkeypatch.setattr(sim, "apply_gates", counting)
+    # (gates, qubits, gates the product start writes): model circuits at 12
+    # and 16 qubits, one with a phase gate after it, and starts that break
+    # the pattern of gate j an uncontrolled ry on qubit j
+    model12, model16 = (build_model_circuit(random_model(np.random.default_rng(k), k), 4).gates
+                        for k in (3, 4))
+    ry = tuple(Gate("ry", (q,), angle=0.3 + 0.2 * q) for q in range(5))
+    cases = [
+        (model12, 12, 12),
+        (model16, 16, 16),
+        (model16 + (Gate("phase", (3,), angle=0.4),), 16, 16),
+        ((Gate("h", (0,)),) + ry, 5, 0),
+        ((Gate("ry", (0,), ((1, 0),), angle=0.7),) + ry, 5, 0),  # controlled
+        (ry[1:] + ry[:1], 5, 0),  # starts on qubit 1
+        (ry[::-1], 5, 0),  # descending
+        (ry[:1] + (Gate("ry", (0,), angle=1.1),) + ry[1:], 5, 1),  # repeated target
+        (ry[:2] + ry[3:] + ry[2:3], 5, 2),  # a gap at qubit 2
+    ]
+    for gates, n, written in cases:
+        want = sim._zeros(1 << n, complex if sim._has_phase(gates) else float)
+        want[0] = 1.0
+        apply_gates(want, gates, n)
+        reached.clear()
+        got = run(Circuit(n, gates))
+        assert reached == [len(gates) - written]
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (n, written)
 
 
 @pytest.mark.parametrize("k, horizon", [(2, 7), (3, 5), (4, 4)])
@@ -228,6 +237,10 @@ def test_marginal_probability_basics():
         with pytest.raises(ValidationError) as err:
             probabilities(state, qubits)
         assert err.value.code == "index-out-of-range"
+    for bad in (np.zeros(0), np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(ValidationError) as err:
+            probabilities(bad, [0])
+        assert err.value.code == "dimension-mismatch"
 
 
 def test_sample_counts_behaviour(two_node):
