@@ -7,12 +7,13 @@ across reruns with the same inputs and seeds. ``fit`` and ``lowdepth``
 reports add a ``metrics`` block with each fit's iterations, start count and
 converged flag; a fit that did not converge also prints a warning on
 stderr. ``qae`` reports add one with the simulated model qubits, their
-statevector bytes and the largest norm residual of the model state the
-Grover plane is read from. ``mc`` reports add one with the chunks sampled,
-the configuration rows ``p_on`` evaluated, the sampling seconds and the
-trajectories per second, all over every repeat. ``circuit`` reports add one
-with the distinct gate objects, the most controls on one gate, the listing's
-UTF-8 bytes and the build and emit seconds. With ``--gates-out`` the listing
+statevector bytes and the norm residual of the model state the Grover
+plane is read from; the model runs once per command. ``mc`` reports add
+one with the chunks sampled, the configuration rows ``p_on`` evaluated,
+the sampling seconds and the trajectories per second, all over every
+repeat. ``circuit`` reports add one with the distinct gate objects, the most
+controls on one gate, the listing's UTF-8 bytes and the build and emit
+seconds. With ``--gates-out`` the listing
 goes only to that file, and ``results`` records its path and byte count in
 place of the text.
 ``plotdata`` instead emits CSV series extracted from a previously written
@@ -55,7 +56,7 @@ from .lowdepth import (
 )
 from .mc import evaluate_mc
 from .model import format_config, load_model
-from .qae import grover_eigenphase, run_standard_qae
+from .qae import _qae_sweep, grover_eigenphase
 from .sim import DEFAULT_QUBIT_CAP, NoiseSpec
 
 _CURVE_STEP = 0.05
@@ -314,21 +315,19 @@ def _cmd_qae(args):
         }
         return "qae", inputs, results, None, metrics(result.residual)
     bits_list = _parse_int_list(args.bits_text)
-    sweep = []
-    residual = 0.0
-    for bits in bits_list:
-        r = run_standard_qae(model, args.steps, spec, bits, args.shots,
-                             seed=(args.seed, bits), qubit_cap=args.qubit_cap)
-        sweep.append({
-            "bits": bits,
-            "outcome_counts": {str(y): n for y, n in sorted(r.outcome_counts.items())},
-            "modal_outcome": r.modal_outcome,
-            "theta": r.theta,
-            "probability": r.probability,
-        })
-        residual = max(residual, r.residual)
+    # one model run for the whole sweep; each bit count draws with its own seed
+    estimates = _qae_sweep(model, args.steps, spec,
+                           [(bits, (args.seed, bits)) for bits in bits_list],
+                           args.shots, args.qubit_cap)
+    sweep = [{
+        "bits": r.bits,
+        "outcome_counts": {str(y): n for y, n in sorted(r.outcome_counts.items())},
+        "modal_outcome": r.modal_outcome,
+        "theta": r.theta,
+        "probability": r.probability,
+    } for r in estimates]
     inputs["bits"] = bits_list
-    return "qae", inputs, {"sweep": sweep}, None, metrics(residual)
+    return "qae", inputs, {"sweep": sweep}, None, metrics(estimates[0].residual)
 
 
 def _exact_theta(model, steps: int, spec: GroverSpec) -> tuple[float, float]:

@@ -23,7 +23,7 @@ import numpy as np
 from .circuit import GroverSpec
 from .errors import FitDivergedError, ParseError, ValidationError, check_dense_bytes
 from .model import NetworkModel, seed_tuple
-from .qae import _register_parts
+from .qae import _half_angle, _plane
 from .sim import _SHOT_PEAK, DEFAULT_QUBIT_CAP, NoiseSpec, sample_marked
 
 __all__ = [
@@ -112,15 +112,12 @@ def predict(theta: float, power, a: float, f: float):
 def _power_distributions(model: NetworkModel, horizon: int, spec: GroverSpec, powers,
                          qubit_cap: int):
     """Run the model once; iterate the register distribution after each of
-    ``powers`` Grover applications. The operator rotates the plane of the
-    state's marked and unmarked parts by 2a, sin(a) = sqrt(p), so power l
-    mixes the two parts of the register marginal, each normalised (an empty
-    part stays zero), with weights sin^2((2l+1)a) and cos^2((2l+1)a); p is
-    the marked part's sum."""
-    marked, unmarked = _register_parts(model, horizon, spec, qubit_cap)
-    p = float(marked.sum())
+    ``powers`` Grover applications: power l mixes the plane's two parts,
+    each normalised (an empty part stays zero), with weights sin^2((2l+1)a)
+    and cos^2((2l+1)a)."""
+    marked, unmarked, p, _ = _plane(model, horizon, spec, qubit_cap)
     on, off = (m / m.sum() if m.any() else m for m in (marked, unmarked))
-    angle = math.asin(math.sqrt(min(p, 1.0)))
+    angle = _half_angle(p)
     weights = (math.sin((2 * l + 1) * angle) ** 2 for l in powers)
     return (w * on + (1.0 - w) * off for w in weights)
 

@@ -4,14 +4,16 @@ Both read the Grover operator -A S0 A^dagger S_chi on its invariant plane.
 It equals (2|psi><psi| - I)(I - 2 Pi), with psi = A|0> the model state and
 Pi the projector on the marked basis states (Brassard, Hoyer, Mosca and
 Tapp, arXiv:quant-ph/0005055), so on the plane of psi's marked and unmarked
-parts it is the rotation M by theta = 2 asin(sqrt(p)), p the marked mass.
-The marked event pins nodes of one time-step register, so p is a sum over
-that register's 2^k-entry marginal: one model run gives it, no second state
-is made and no Grover gate is simulated. Standard QAE needs no
-phase-estimation circuit: its ancilla distribution is an FFT over M^y v0,
-equal to the circuit's ancilla marginals to rounding. The residual is how
-far the register marginal's total is from 1, the one error the closed form
-leaves.
+parts it is the rotation by 2a, sin(a) = sqrt(p), p the marked mass, and l
+applications leave psi at (cos((2l+1)a), sin((2l+1)a)) in the basis
+(unmarked, marked) of normalised parts. The low-depth schedule reads the
+same form. The marked event pins nodes of one time-step register, so p is a
+sum over that register's 2^k-entry marginal: one model run gives it, no
+second state is made and no Grover gate is simulated. Standard QAE needs no
+phase-estimation circuit: its ancilla distribution is an FFT over that form,
+equal to the circuit's ancilla marginals to rounding, and a sweep over bit
+counts runs the model once. The residual is how far the register
+marginal's total is from 1, the one error the closed form leaves.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import GroverSpec, build_model_circuit
-from .errors import DegenerateSubspaceError, ValidationError
+from .errors import DegenerateSubspaceError, ResourceLimitError, ValidationError
 from .model import NetworkModel, seed_tuple
 from .sim import DEFAULT_QUBIT_CAP, _draw_counts, check_run_size, probabilities, run
 
@@ -76,12 +78,14 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
     return theta, math.sin(math.pi * folded / size) ** 2
 
 
-def _register_parts(model: NetworkModel, horizon: int,
-                    spec: GroverSpec, qubit_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """(marked, unmarked) parts of the model state's target-register
-    marginal: each holds the marginal at its own configurations and 0 at
-    the other's. What ``run`` refuses is refused unbuilt, and a marked node
-    or step outside the layout before the run."""
+def _plane(model: NetworkModel, horizon: int, spec: GroverSpec,
+           qubit_cap: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The Grover plane from one model run: (marked, unmarked, p, residual).
+
+    The parts of the target-register marginal hold it at their own
+    configurations and 0 elsewhere; p and q are their sums, and the residual
+    is |1 - p - q|. What ``run`` refuses is refused unbuilt, and a marked
+    node or step outside the layout before the run."""
     if horizon >= 1:
         check_run_size(model.k * horizon, qubit_cap)
     base = build_model_circuit(model, horizon)
@@ -89,74 +93,69 @@ def _register_parts(model: NetworkModel, horizon: int,
         base.qubit(node, spec.target_step)
     dist = probabilities(run(base, qubit_cap=qubit_cap), base.register(spec.target_step))
     mask = spec.matches(np.arange(len(dist)))
-    return np.where(mask, dist, 0.0), np.where(mask, 0.0, dist)
+    marked, unmarked = np.where(mask, dist, 0.0), np.where(mask, 0.0, dist)
+    p, q = float(marked.sum()), float(unmarked.sum())
+    return marked, unmarked, p, abs(q + p - 1.0)
 
 
-def _grover_plane(model: NetworkModel, horizon: int, spec: GroverSpec,
-                  qubit_cap: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The Grover operator on the plane of the model state's marked and
-    unmarked parts: (M, v0, residual, p).
-
-    M is the 2x2 matrix of the operator in the basis (unmarked, marked) of
-    normalised parts: the rotation by theta = 2 asin(sqrt(p)). v0 =
-    (sqrt(1-p), sqrt(p)) holds the parts' norms, so the model state is v0 in
-    that basis. p and q, the unmarked mass, are the sums of the two parts of
-    the target register's marginal, and the residual is |1 - p - q|, how far
-    the marginal's total is from 1. When p is 0 or 1 a part is zero; its row
-    and column of M and entry of v0 are then zero too.
-    """
-    p, q = (float(part.sum()) for part in _register_parts(model, horizon, spec, qubit_cap))
-    theta = 2.0 * math.asin(math.sqrt(min(p, 1.0)))  # rounding can put p above 1
-    v0 = np.sqrt([q, p])
-    m = np.array([[math.cos(theta), -math.sin(theta)],
-                  [math.sin(theta), math.cos(theta)]]) * np.outer(v0 > 0, v0 > 0)
-    return m, v0, abs(q + p - 1.0), p
+def _half_angle(p: float) -> float:
+    """a with sin(a) = sqrt(p): the Grover operator rotates its plane by 2a."""
+    return math.asin(math.sqrt(min(p, 1.0)))  # rounding can put p above 1
 
 
-def _ancilla_distribution(model: NetworkModel, horizon: int, spec: GroverSpec, bits: int,
-                          qubit_cap: int) -> tuple[np.ndarray, float]:
-    """Outcome distribution of the phase-estimation ancillas, computed on the
-    Grover plane, and the model state's norm residual.
+def _ancilla_distribution(angle: float, bits: int) -> np.ndarray:
+    """Phase-estimation outcome distribution on the plane of half angle a.
 
-    After the controlled powers, ancilla value y leaves the model register in
-    M^y v0, so after the inverse Fourier transform outcome z has amplitude
-    (1/N) sum_y e^{-2 pi i yz/N} M^y v0, with N = 2^bits.
-    """
-    # the circuit being estimated has bits ancillas; its size is refused as
-    # before, which also bounds the (N, 2) arrays below
-    if horizon >= 1:
-        check_run_size(model.k * horizon + bits, qubit_cap)
-    m, v0, residual, _ = _grover_plane(model, horizon, spec, qubit_cap)
+    Ancilla value y leaves the model register at X[y] = (cos((2y+1)a),
+    sin((2y+1)a)) in the basis (unmarked, marked), so after the inverse
+    Fourier transform outcome z has amplitude fft(X)[z] / 2^bits."""
     size = 1 << bits
-    # X[y] = M^y v0, doubling as the circuit does: ancilla j applies M^(2^j)
-    powers = np.empty((size, 2), dtype=complex)
-    powers[0] = v0
-    step = m
-    for j in range(bits):
-        half = 1 << j
-        powers[half:2 * half] = powers[:half] @ step.T
-        step = step @ step
-    probs = (np.abs(np.fft.fft(powers, axis=0)) ** 2).sum(axis=1) / size ** 2
-    return probs, residual
+    turns = (2.0 * np.arange(size) + 1.0) * angle
+    powers = np.stack([np.cos(turns), np.sin(turns)], axis=1)
+    return (np.abs(np.fft.fft(powers, axis=0)) ** 2).sum(axis=1) / size ** 2
+
+
+def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots: int,
+               qubit_cap: int) -> list[QaeResult]:
+    """Standard QAE at each of the (bits, seed) ``pairs``, from one model run.
+
+    Every pair is checked before the model runs: its bit count, its seed,
+    the size of the circuit being estimated (the k*horizon model qubits and
+    the ``bits`` ancillas) and the shot count, which numpy draws as an int64.
+    """
+    for bits, seed in pairs:
+        if bits < 1:
+            raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
+        seed_tuple(seed)
+        # this also bounds the (2^bits, 2) arrays of the ancilla distribution
+        if horizon >= 1:
+            check_run_size(model.k * horizon + bits, qubit_cap)
+        if shots < 1:
+            raise ValidationError("shots must be >= 1", code="invalid-shots")
+        if shots >= 1 << 63:
+            raise ResourceLimitError(f"{shots} shots exceed the 2^63 - 1 that an int64 "
+                                     "draw count holds")
+    _, _, p, residual = _plane(model, horizon, spec, qubit_cap)
+    angle = _half_angle(p)
+    results = []
+    for bits, seed in pairs:
+        counts = _draw_counts(_ancilla_distribution(angle, bits), shots, seed)
+        modal = min(counts, key=lambda y: (-counts[y], y))
+        theta, probability = decode_outcome(modal, bits)
+        results.append(QaeResult(bits, counts, modal, theta, probability, residual))
+    return results
 
 
 def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: int,
                      shots: int, seed, qubit_cap: int = DEFAULT_QUBIT_CAP) -> QaeResult:
     """Sample the phase-estimation ancillas and decode the most frequent outcome.
 
-    The ancilla distribution is computed on the Grover plane, with no
-    phase-estimation circuit: only the k*horizon model qubits are simulated.
-    ``qubit_cap`` and the byte budget still count the ``bits`` ancillas of
-    the circuit being estimated.
-    """
-    if bits < 1:  # before the seed, which the CLI builds from bits
-        raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
-    seeds = seed_tuple(seed)
-    probs, residual = _ancilla_distribution(model, horizon, spec, bits, qubit_cap)
-    counts = _draw_counts(probs, shots, seeds)
-    modal = min(counts, key=lambda y: (-counts[y], y))
-    theta, probability = decode_outcome(modal, bits)
-    return QaeResult(bits, counts, modal, theta, probability, residual)
+    The ancilla distribution is the closed form on the Grover plane: only
+    the k*horizon model qubits are simulated, once. ``qubit_cap`` and the
+    byte budget still count the ``bits`` ancillas of the circuit being
+    estimated; they, and a shot count past an int64, are refused before the
+    model runs."""
+    return _qae_sweep(model, horizon, spec, [(bits, seed)], shots, qubit_cap)[0]
 
 
 def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
@@ -170,10 +169,10 @@ def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
     eigendecomposition. The residual reports how far that marginal's total
     is from 1; it should be at numerical noise level.
     """
-    _, _, residual, p = _grover_plane(model, horizon, spec, qubit_cap)
+    _, _, p, residual = _plane(model, horizon, spec, qubit_cap)
     if p < 1e-12 or p > 1.0 - 1e-12:
         raise DegenerateSubspaceError(
             f"marked probability {p!r} leaves no two-dimensional rotation plane")
-    theta = 2.0 * math.asin(math.sqrt(p))
+    theta = 2.0 * _half_angle(p)
     lam = cmath.exp(1j * theta)
     return EigenphaseResult(theta, lam, lam.conjugate(), math.sin(theta / 2.0) ** 2, residual)

@@ -480,13 +480,62 @@ def test_qae_past_the_qubit_cap_exits_2_before_building(capsys, fixtures_dir, mo
     def no_plane(*args, **kwargs):
         raise AssertionError("the Grover plane was computed")
 
-    monkeypatch.setattr(cascadeq.qae, "_grover_plane", no_plane)
+    monkeypatch.setattr(cascadeq.qae, "_plane", no_plane)
     code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
                  "--steps", "3", "--config", "11", "--bits", "40"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")
     assert captured.out == ""
+
+
+def _count_model_runs(monkeypatch) -> list:
+    import cascadeq.qae
+
+    runs = []
+    model_run = cascadeq.qae.run
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return model_run(*args, **kwargs)
+
+    monkeypatch.setattr(cascadeq.qae, "run", counted)
+    return runs
+
+
+def test_qae_sweep_runs_the_model_once(capsys, fixtures_dir, monkeypatch):
+    runs = _count_model_runs(monkeypatch)
+    report = report_of(capsys, "qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                       "--steps", "3", "--config", "11", "--bits", "3..9")
+    assert [entry["bits"] for entry in report["results"]["sweep"]] == list(range(3, 10))
+    assert len(runs) == 1
+
+
+def test_qae_sweep_past_the_qubit_cap_exits_2_before_the_model_runs(
+        capsys, fixtures_dir, monkeypatch):
+    # 6 model qubits and 15 ancillas pass the cap of 20; bit counts 3..14 fit
+    runs = _count_model_runs(monkeypatch)
+    code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "3", "--config", "11", "--bits", "3..15"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error (resource-limit): 21 qubits exceed the cap of 20\n"
+    assert captured.out == ""
+    assert runs == []
+
+
+def test_qae_shots_past_an_int64_exit_2_before_the_model_runs(capsys, fixtures_dir, monkeypatch):
+    runs = _count_model_runs(monkeypatch)
+    argv = ["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+            "--steps", "3", "--config", "11", "--bits", "3"]
+    code = main([*argv, "--shots", str(1 << 63)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+    assert runs == []
+    report = report_of(capsys, *argv, "--shots", str((1 << 63) - 1))
+    assert sum(report["results"]["sweep"][0]["outcome_counts"].values()) == (1 << 63) - 1
 
 
 def test_qae_past_a_float_sized_state_exits_2(capsys, fixtures_dir, tmp_path):

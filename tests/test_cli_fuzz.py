@@ -48,7 +48,7 @@ _FLAGS = {
     "kind": ["grover", "qae"],
     "config": ["", "0", "1", "2", "**", "10", "11", "0110", "1x"],
     "bits": ["", "x", "-1", "0", "1", "4", "2..4", "4..2", "1,3", "1..x"],
-    "shots": ["-1", "0", "1", "x"],
+    "shots": ["-1", "0", "1", "x", "9223372036854775808"],
     "qubit-cap": ["-1", "0", "4", "x"],
     "schedule": ["", "x", "-1", "0", "1,1", "0,2,5", "3..1"],
     "eigenphase": [None],

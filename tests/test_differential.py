@@ -31,7 +31,7 @@ from cascadeq import (
     run,
 )
 from cascadeq.lowdepth import _power_distributions
-from cascadeq.qae import _ancilla_distribution
+from cascadeq.qae import _ancilla_distribution, _half_angle, _plane
 from cascadeq.sim import apply_gates
 from helpers import enumerate_distribution, extract_unitary
 
@@ -106,7 +106,8 @@ def test_plane_distribution_matches_phase_estimation_circuit(model, horizon, bit
     assume(1e-9 < p < 1.0 - 1e-9)
     circuit = build_qae_circuit(model, horizon, spec, bits)
     want = probabilities(run(circuit), circuit.ancillas)
-    got, residual = _ancilla_distribution(model, horizon, spec, bits, qubit_cap=20)
+    _, _, plane_p, residual = _plane(model, horizon, spec, qubit_cap=20)
+    got = _ancilla_distribution(_half_angle(plane_p), bits)
     assert residual < 1e-8
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 

@@ -84,6 +84,15 @@ def test_qae_seeded_counts_are_pinned(two_node):
                                      14: 20, 15: 2}
 
 
+def test_qae_sweep_draws_each_bit_count_as_its_own_run(two_node):
+    # one plane for the sweep, and each bit count's own seed
+    spec = GroverSpec.from_config("1*", 3)
+    pairs = [(bits, (17, bits)) for bits in (1, 3, 4, 7)]
+    sweep = qae._qae_sweep(two_node, 3, spec, pairs, 1000, qubit_cap=20)
+    assert sweep == [run_standard_qae(two_node, 3, spec, bits, 1000, seed)
+                     for bits, seed in pairs]
+
+
 @pytest.mark.parametrize("spec", [GroverSpec(3, ((5, 0),)), GroverSpec(4, ((1, 1),))],
                          ids=["node-past-k", "step-past-horizon"])
 def test_out_of_range_specs_are_refused(two_node, spec):
@@ -173,7 +182,7 @@ def test_eigenphase_degenerate_cases():
 def test_grover_plane_peaks_within_its_byte_budget_factor(k, horizon):
     model = random_model(np.random.default_rng(k), k)
     spec = GroverSpec.from_config("1" * k, horizon)
-    peak = traced_peak(lambda: qae._grover_plane(model, horizon, spec, qubit_cap=20))
+    peak = traced_peak(lambda: qae._plane(model, horizon, spec, qubit_cap=20))
     assert peak < sim._RUN_PEAK * (16 << (k * horizon))
 
 
@@ -197,6 +206,6 @@ def test_grover_plane_with_mapped_parts_peaks_within_its_byte_budget_factor(
     # every state sim._zeros makes at this size is such a mapping, whichever
     # module calls it
     monkeypatch.setattr(mmap, "mmap", counted_mapping)
-    peak = traced_peak(lambda: qae._grover_plane(model, horizon, spec, qubit_cap=20))
+    peak = traced_peak(lambda: qae._plane(model, horizon, spec, qubit_cap=20))
     assert lengths == [8 << n]
     assert peak + (8 << n) < sim._RUN_PEAK * (16 << n)
