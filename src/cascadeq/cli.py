@@ -13,9 +13,8 @@ one with the chunks sampled, the configuration rows ``p_on`` evaluated,
 the sampling seconds and the trajectories per second, all over every
 repeat. ``circuit`` reports add one with the distinct gate objects, the most
 controls on one gate, the listing's UTF-8 bytes and the build and emit
-seconds. With ``--gates-out`` the listing
-goes only to that file, and ``results`` records its path and byte count in
-place of the text.
+seconds. With ``--gates-out`` the listing goes only to that file, and
+``results`` records its path and byte count in place of the text.
 ``plotdata`` instead emits CSV series extracted from a previously written
 report.
 

@@ -130,6 +130,8 @@ def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots
         # this also bounds the (2^bits, 2) arrays of the ancilla distribution
         if horizon >= 1:
             check_run_size(model.k * horizon + bits, qubit_cap)
+        # the shots are checked with each pair, so a sweep's first refusal
+        # is the one a call per bit count would meet first
         if shots < 1:
             raise ValidationError("shots must be >= 1", code="invalid-shots")
         if shots >= 1 << 63:
