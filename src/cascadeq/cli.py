@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 validation/parse problems, 2 resource limit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -432,7 +433,10 @@ def _plot_rows(figure: str, report) -> list[tuple]:
 
 # --- parser -----------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` returns a
+    fresh namespace on every call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="cascadeq",
         description="Probabilistic failure networks: exact evolution, Monte Carlo, "

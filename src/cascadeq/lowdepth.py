@@ -4,8 +4,11 @@ The marked-count response after ``l`` Grover applications is
 ``r(theta, l, a, f) = e^{-a l} sin^2((2l+1) theta/2) + (1 - e^{-a l}) f``
 where ``a`` is the per-Grover error decay rate and ``f`` the expected marked
 fraction of a scrambled shot. Fits minimize the sum of squared residuals on
-count fractions with a batched, box-projected Levenberg-Marquardt solver
-(analytic Jacobian) run from a grid of starts. ``f`` is kept in [0, 1], and
+count fractions. The loss is first evaluated on a (theta, a) grid with ``f``
+profiled out in closed form (variable projection), and a batched,
+box-projected Levenberg-Marquardt solver (analytic Jacobian) refines the
+grid's best points: the best angle of each grid rate for the damped model,
+the four best angles for the sine fit. ``f`` is kept in [0, 1], and
 ``a`` at or above -1 (or -100 / max l, for schedules reaching past power
 100) so ``e^{-a l}`` cannot overflow. Angles follow the eigenphase
 convention ``p = sin^2(theta/2)``; ``theta`` and ``2*pi - theta`` predict
@@ -13,6 +16,7 @@ identical integer-power responses, so fits always report the smaller angle.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -80,8 +84,9 @@ class FitResult:
     """Fitted parameters; ``probability = sin^2(theta/2)`` with theta in [0, pi].
 
     ``iterations`` counts the solver iterations of the start that won among
-    ``n_starts`` starts; ``converged`` is false when that start was still
-    improving when the iteration budget ran out.
+    ``n_starts`` starts, the grid points the solver refined (4 for the sine
+    fit, 12 for the damped model); ``converged`` is false when that start
+    was still improving when the iteration budget ran out.
     """
 
     theta: float
@@ -159,11 +164,18 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
 
 # --- fitting -------------------------------------------------------------------
 
-# the start grid: every theta start for the sine fit, and every (theta, a)
-# pair at f = _F_START (or the pinned f) for the damped model
-_THETA_STARTS = tuple(math.pi * i / 40 for i in range(1, 40))
-_A_STARTS = (0.0, 0.5, 2.0)
-_F_START = 0.5
+_RATES = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.5, 3.0)
+"""The grid's decay rates at or above zero; ``fit_noise_model`` adds lo,
+lo/4 and lo/16 for the lower bound lo on ``a``."""
+_GRID_BLOCK = 1 << 20
+"""Grid elements (angles x powers, or angles x rates on short schedules)
+evaluated at a time, which bounds the grid's memory on long schedules."""
+_MAX_ANGLES = 1 << 16
+"""Most grid angles: the full resolution up to power 4095. Past it the grid
+is coarser than the fastest oscillation, but its time and memory stay
+bounded however far the schedule reaches."""
+_SINE_STARTS = 4
+"""Best grid angles the sine fit refines."""
 _MAX_ITERS = 100
 _TOL = 1e-10
 """Relative loss decrease, or root-mean-square residual, below which a start
@@ -200,6 +212,18 @@ def _residuals(fractions: np.ndarray, ells: np.ndarray, sine_only: bool, free_f:
     return residuals
 
 
+def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every system of the batch; a singular one gets a NaN solution."""
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular system fails the whole batch
+        out = np.full_like(rhs, np.nan)
+        for i, (matrix, vector) in enumerate(zip(matrices, rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(matrix, vector)
+        return out
+
+
 def _levenberg_marquardt(residuals, starts: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                          max_iters: int, tol: float):
     """Box-projected Levenberg-Marquardt from every start row in lockstep.
@@ -207,7 +231,9 @@ def _levenberg_marquardt(residuals, starts: np.ndarray, lower: np.ndarray, upper
     Each iteration solves (J^T J + lambda I) delta = -J^T r for all live
     starts at once and clips the step into [lower, upper]. A step is taken
     only if it strictly lowers that start's loss (then lambda /= 3, else
-    lambda *= 4), so per-start losses never increase. A start stops when an
+    lambda *= 4), so per-start losses never increase; a start whose system
+    is singular in floating point (e^{-a l} near its bound can make it so)
+    gets a NaN step, which is rejected too. A start stops when an
     accepted step lowers its loss by at most ``tol`` relative or leaves its
     root-mean-square residual at most ``tol`` (an exact fit, where the
     relative decrease may stay large down to the rounding floor), or when
@@ -235,7 +261,7 @@ def _levenberg_marquardt(residuals, starts: np.ndarray, lower: np.ndarray, upper
         j = np.where(pinned[:, None, :], 0.0, jac[idx])
         jtr[pinned] = 0.0
         jtj = np.einsum("spi,spj->sij", j, j) + damping[idx, None, None] * eye
-        step = np.linalg.solve(jtj, -jtr[..., None])[..., 0]
+        step = _solve_each(jtj, -jtr)
         cand = np.clip(params[idx] + step, lower, upper)
         cand_res, cand_jac = residuals(cand)
         cand_loss = (cand_res * cand_res).sum(axis=1)
@@ -258,9 +284,9 @@ def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
     if sine_only:
         lower, upper = np.array([-np.inf]), np.array([np.inf])
     else:
-        # e^{-a l} <= e^{100} keeps squared residuals and J^T J finite; f is a probability
-        min_rate = -min(1.0, 100.0 / max(ells.max(), 1.0))
-        lower, upper = np.array([-np.inf, min_rate, 0.0]), np.array([np.inf, np.inf, 1.0])
+        # a keeps e^{-a l} finite; f is a probability
+        lower = np.array([-np.inf, _min_rate(ells), 0.0])
+        upper = np.array([np.inf, np.inf, 1.0])
     params, losses, iterations, live = _levenberg_marquardt(
         residuals, starts, lower, upper, _MAX_ITERS, _TOL)
     if not np.isfinite(losses).any():
@@ -280,30 +306,101 @@ def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
                      int(iterations[best]), not live[best], len(starts))
 
 
+def _min_rate(ells: np.ndarray) -> float:
+    """Lower bound on ``a``: e^{-a l} <= e^{100} keeps squared residuals and
+    J^T J finite."""
+    return -min(1.0, 100.0 / max(ells.max(), 1.0))
+
+
+def _profiled_grid(fractions: np.ndarray, ells: np.ndarray, rates: np.ndarray,
+                   fix_f: float | None):
+    """The damped model's loss, with f profiled out, on a (theta, a) grid.
+
+    theta takes the values (i + 1/2) pi / N, N = max(64, 8 (2L + 1)) for the
+    highest power L (at most ``_MAX_ANGLES``), so neighbours move the
+    fastest term by at most a sixteenth of a turn. With d = e^{-a l},
+    w = 1 - d and s the undamped signal, the model d s + w f is linear in
+    f, so the least-squares f is clip(sum w (y - d s) / sum w^2, 0, 1):
+    variable projection. Where sum w^2 = 0, f has no effect and is 0.5. A
+    pinned ``fix_f`` is used as given. Returns the angles (N,), and the
+    losses and f values (N, rates).
+
+    For rates >= 0 (d <= 1) the loss is expanded into matrix products with
+    the signal. The expansion cancels catastrophically where d is large, so
+    negative rates sum their residuals directly. Angles go in blocks of
+    about ``_GRID_BLOCK`` elements.
+    """
+    n = min(max(64, 8 * (2 * int(ells.max()) + 1)), _MAX_ANGLES)
+    thetas = (np.arange(n) + 0.5) * (math.pi / n)
+    odd = 2.0 * ells + 1.0
+    decay = np.exp(-np.outer(rates, ells))  # (rates, powers)
+    weight = 1.0 - decay
+    wsq = (weight * weight).sum(axis=1)
+
+    def profiled(wz, norm):
+        if fix_f is not None:
+            return np.full_like(wz, fix_f)
+        f = np.divide(wz, norm, out=np.full_like(wz, 0.5), where=norm > 0.0)
+        return np.clip(f, 0.0, 1.0, out=f)
+
+    expanded = rates >= 0.0
+    d_pos, w_pos, wsq_pos = decay[expanded], weight[expanded], wsq[expanded]
+    yy, wy = fractions @ fractions, w_pos @ fractions
+    losses = np.empty((n, len(rates)))
+    fs = np.empty((n, len(rates)))
+    rows = max(1, _GRID_BLOCK // max(len(ells), len(rates)))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        # s = sin^2((2l+1) theta/2), (rows, powers), formed in place
+        signal = np.outer(thetas[block], odd / 2.0)
+        np.sin(signal, out=signal)
+        signal *= signal
+        # sum z^2 and sum w z of the residual z = y - d s before f, per rate
+        zz = yy - 2.0 * signal @ (d_pos * fractions).T + (signal * signal) @ (d_pos * d_pos).T
+        wz = wy - signal @ (w_pos * d_pos).T
+        f = profiled(wz, wsq_pos)
+        losses[block, expanded] = zz - 2.0 * f * wz + f * f * wsq_pos
+        fs[block, expanded] = f
+        for j in np.flatnonzero(~expanded):
+            z = np.multiply(signal, -decay[j])
+            z += fractions
+            f = profiled(z @ weight[j], wsq[j])
+            z -= f[:, None] * weight[j]
+            losses[block, j] = np.einsum("rp,rp->r", z, z)
+            fs[block, j] = f
+    return thetas, losses, fs
+
+
 def fit_sine(trace: LowDepthTrace) -> FitResult:
-    """Fit the undamped response sin^2((2l+1) theta/2) to the trace fractions."""
+    """Fit the undamped response sin^2((2l+1) theta/2) to the trace fractions,
+    refining the ``_SINE_STARTS`` best angles of the profiled grid at a = 0."""
     ells = np.asarray(trace.schedule, dtype=float)
-    starts = np.asarray(_THETA_STARTS, dtype=float)[:, None]
-    return _fit(np.asarray(trace.fractions), ells, starts, free_f=False, sine_only=True)
+    fractions = np.asarray(trace.fractions)
+    thetas, losses, _ = _profiled_grid(fractions, ells, np.zeros(1), None)
+    best = np.argsort(losses[:, 0], kind="stable")[:_SINE_STARTS]
+    return _fit(fractions, ells, thetas[best, None], free_f=False, sine_only=True)
 
 
 def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResult:
     """Fit (theta, a, f) of the damped response; ``fix_f`` pins the scramble level.
 
-    ``f`` is clamped to [0, 1]; ``a`` may go negative (slightly negative
-    rates do occur on real data) down to -1, or -100 / max power for
-    schedules past power 100, and predictions are not clamped.
+    The solver starts from the best angle, and its profiled f, of each rate
+    on the profiled grid: 12 starts. ``f`` is clamped to [0, 1]; ``a`` may
+    go negative (slightly negative rates do occur on real data) down to -1,
+    or -100 / max power for schedules past power 100, and predictions are
+    not clamped.
     """
     if fix_f is not None and not 0.0 <= fix_f <= 1.0:
         raise ValidationError(f"fix_f = {fix_f!r} outside [0, 1]", code="out-of-range")
     ells = np.asarray(trace.schedule, dtype=float)
-    thetas = np.asarray(_THETA_STARTS, dtype=float)
-    rates = np.asarray(_A_STARTS, dtype=float)
-    fracs = np.asarray([_F_START if fix_f is None else fix_f])
-    grid = np.stack(np.meshgrid(thetas, rates, fracs, indexing="ij"), axis=-1)
-    starts = grid.reshape(-1, 3)
-    return _fit(np.asarray(trace.fractions), ells, starts, free_f=fix_f is None,
-                sine_only=False)
+    fractions = np.asarray(trace.fractions)
+    lo = _min_rate(ells)
+    rates = np.array([lo, lo / 4.0, lo / 16.0, *_RATES])
+    thetas, losses, fs = _profiled_grid(fractions, ells, rates, fix_f)
+    best = np.argmin(losses, axis=0)
+    columns = np.arange(len(rates))
+    starts = np.stack([thetas[best], rates, fs[best, columns]], axis=-1)
+    return _fit(fractions, ells, starts, free_f=fix_f is None, sine_only=False)
 
 
 # --- schedule viability bounds ---------------------------------------------------

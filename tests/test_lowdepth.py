@@ -25,7 +25,9 @@ from cascadeq import (
 )
 from cascadeq import lowdepth
 from cascadeq.errors import FitDivergedError
-from cascadeq.lowdepth import _fit, _residuals
+from cascadeq.lowdepth import _fit, _levenberg_marquardt, _residuals
+
+import helpers
 
 
 def read_trace(fixtures_dir, name):
@@ -256,8 +258,8 @@ def test_gradient_matches_finite_differences():
 def test_fixture_fits_converge(fixtures_dir):
     for path in sorted(fixtures_dir.glob("trace_*.csv")):
         trace = trace_from_text(path.read_text())
-        fits = [(fit_sine(trace), 39), (fit_noise_model(trace), 117),
-                (fit_noise_model(trace, fix_f=0.5), 117)]
+        fits = [(fit_sine(trace), 4), (fit_noise_model(trace), 12),
+                (fit_noise_model(trace, fix_f=0.5), 12)]
         for fit, n_starts in fits:
             assert fit.converged, path.name
             assert 0 < fit.iterations <= lowdepth._MAX_ITERS
@@ -287,6 +289,95 @@ def test_growing_trace_keeps_rate_bounded():
         assert -1.0 <= fit.a < 0.0
     assert math.isfinite(far_fit.loss)
     assert far_fit.a >= -100.0 / 800
+
+
+def _growing_traces():
+    """The two traces of test_growing_trace_keeps_rate_bounded."""
+    return [LowDepthTrace(tuple(range(13)), (1000,) * 13, tuple(
+        round(1000 * (0.5 + 0.5 * math.exp(0.3 * (l - 12)) * math.cos(1.1 * l)))
+        for l in range(13))), LowDepthTrace((0, 1, 2, 800), (100,) * 4, (30, 60, 20, 99))]
+
+
+def _oracle_fit(trace, kind):
+    """The multi-start fit the profiled grid replaced: 39 angles, and for the
+    damped model each at a in {0, 0.5, 2} and f = 0.5 (or the pinned f)."""
+    ells = np.asarray(trace.schedule, dtype=float)
+    fractions = np.asarray(trace.fractions)
+    thetas = [math.pi * i / 40 for i in range(1, 40)]
+    if kind == "sine":
+        return _fit(fractions, ells, np.array(thetas)[:, None], free_f=False, sine_only=True)
+    starts = np.array([(theta, a, 0.5) for theta in thetas for a in (0.0, 0.5, 2.0)])
+    return _fit(fractions, ells, starts, free_f=kind == "free", sine_only=False)
+
+
+def test_profiled_grid_fits_are_no_worse_than_the_multi_start_oracle(fixtures_dir):
+    traces = [read_trace(fixtures_dir, path.name)
+              for path in sorted(fixtures_dir.glob("trace_*.csv"))]
+    traces += _growing_traces()
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        ells = np.arange(int(rng.integers(4, 21)) + 1)
+        expected = predict(rng.uniform(0.2, 2.9), ells, rng.uniform(0.0, 0.5),
+                           rng.uniform(0.2, 0.8))
+        traces.append(LowDepthTrace(tuple(ells), (500,) * len(ells),
+                                    tuple(rng.binomial(500, expected))))
+    fits = {"sine": fit_sine, "free": fit_noise_model,
+            "pinned": lambda trace: fit_noise_model(trace, fix_f=0.5)}
+    worse = []
+    for i, trace in enumerate(traces):
+        for kind, fit in fits.items():
+            new, old = fit(trace), _oracle_fit(trace, kind)
+            if new.loss > old.loss * (1.0 + 1e-9):
+                worse.append(f"trace {i} {kind}: loss {new.loss!r} > oracle {old.loss!r}")
+    assert not worse, "\n".join(worse)
+
+
+def _dense_trace(top):
+    ells = np.arange(top + 1)
+    marked = np.random.default_rng(5).binomial(200, predict(0.9, ells, 0.004, 0.5))
+    return LowDepthTrace(tuple(ells), (200,) * len(ells), tuple(marked))
+
+
+def test_long_schedule_fits_in_bounded_memory():
+    # the whole grid up to power 1000 would be 16,008 angles x 1001 powers x
+    # 12 rates; in blocks it stays far below that
+    trace = _dense_trace(1000)
+    fits = []
+    peak = helpers.traced_peak(lambda: fits.append(fit_noise_model(trace)))
+    assert peak <= 64 << 20
+    assert fits[0].converged
+    assert fits[0].a == pytest.approx(0.004, abs=1e-3)
+    # a sparse schedule reaching far has a capped angle count
+    far = LowDepthTrace((0, 1, 2, 10**12), (100,) * 4, (30, 60, 20, 99))
+    assert helpers.traced_peak(lambda: fit_noise_model(far)) <= 64 << 20
+
+
+def test_grid_block_size_does_not_change_the_fit(monkeypatch):
+    trace = _dense_trace(100)
+    default = [fit_sine(trace), fit_noise_model(trace), fit_noise_model(trace, fix_f=0.5)]
+    monkeypatch.setattr(lowdepth, "_GRID_BLOCK", 3 * len(trace.schedule) + 1)
+    assert [fit_sine(trace), fit_noise_model(trace),
+            fit_noise_model(trace, fix_f=0.5)] == default
+
+
+def test_singular_system_is_a_rejected_step():
+    # the first start's J^T J + lambda I rounds to a singular matrix, which
+    # fails a batched solve; it takes no step, and the second start still fits
+    def residuals(params):
+        scale = np.where(params[:, :1] > 10.0, 1e20, 1.0)
+        res = scale * (params.sum(axis=1, keepdims=True) - 1.0)
+        return res, np.repeat(scale[:, :, None], 2, axis=2)
+
+    starts = np.array([[20.0, 20.0], [-1.0, -1.0]])
+    unbounded = np.full(2, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params, losses, iterations, live = _levenberg_marquardt(
+            residuals, starts, -unbounded, unbounded, 100, 1e-10)
+    assert params[0].tolist() == [20.0, 20.0]
+    assert losses[0] == (residuals(starts[:1])[0] ** 2).sum()
+    assert not live[0] and 0 < iterations[0] < 100
+    assert losses[1] < 1e-20
 
 
 def test_min_shots_examples():
