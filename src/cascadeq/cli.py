@@ -11,9 +11,9 @@ statevector bytes and the norm residual of the model state the Grover
 plane is read from; the model runs once per command. ``mc`` reports add
 one with the chunks sampled, the configuration rows ``p_on`` evaluated,
 the sampling seconds and the trajectories per second, all over every
-repeat. ``circuit`` reports add one with the distinct gate objects, the most
-controls on one gate, the listing's UTF-8 bytes and the build and emit
-seconds. With ``--gates-out`` the listing goes only to that file, and
+repeat, and the worker threads the chunks ran on. ``circuit`` reports add
+one with the distinct gate objects, the most controls on one gate, the
+listing's UTF-8 bytes and the build and emit seconds. With ``--gates-out`` the listing goes only to that file, and
 ``results`` records its path and byte count in place of the text.
 ``plotdata`` instead emits CSV series extracted from a previously written
 report.
@@ -243,7 +243,8 @@ def _cmd_mc(args):
     metrics = {"chunks": sum(r.chunks for r in repeats),
                "p_on_rows": sum(r.p_on_rows for r in repeats),
                "sample_s": sample_s,
-               "trajectories_per_s": args.runs * args.repeats / sample_s}
+               "trajectories_per_s": args.runs * args.repeats / sample_s,
+               "workers": max(r.workers for r in repeats)}
     return "mc", inputs, results, None, metrics
 
 

@@ -83,10 +83,13 @@ class LowDepthTrace:
 class FitResult:
     """Fitted parameters; ``probability = sin^2(theta/2)`` with theta in [0, pi].
 
-    ``iterations`` counts the solver iterations of the start that won among
+    The parameters are those of the start with the lowest loss among
     ``n_starts`` starts, the grid points the solver refined (4 for the sine
-    fit, 12 for the damped model); ``converged`` is false when that start
-    was still improving when the iteration budget ran out.
+    fit, 12 for the damped model). Every start within the solver's relative
+    tolerance of that loss reached the same optimum; ``iterations`` counts
+    the solver iterations of the first of them to settle there, a converged
+    one if any did, and ``converged`` is false when none settled before the
+    iteration budget ran out.
     """
 
     theta: float
@@ -296,6 +299,10 @@ def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
     res = residuals(params)[0]
     losses = (res * res).sum(axis=1)  # folding preserves the loss up to rounding
     best = np.lexsort((folded, losses))[0]
+    # starts within the solver's tolerance of the lowest loss reached the same
+    # optimum; report how the first of them to settle there got there
+    tied = np.flatnonzero(losses - losses[best] <= _TOL * losses[best])
+    first = tied[np.lexsort((iterations[tied], live[tied]))[0]]
     theta = float(params[best, 0])
     if sine_only:
         a_val, f_val = 0.0, 0.0
@@ -303,7 +310,7 @@ def _fit(fractions: np.ndarray, ells: np.ndarray, starts: np.ndarray,
         a_val = float(params[best, 1])
         f_val = float(min(max(params[best, 2], 0.0), 1.0))
     return FitResult(theta, a_val, f_val, math.sin(theta / 2.0) ** 2, float(losses[best]),
-                     int(iterations[best]), not live[best], len(starts))
+                     int(iterations[first]), not live[first], len(starts))
 
 
 def _min_rate(ells: np.ndarray) -> float:

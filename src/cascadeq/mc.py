@@ -24,12 +24,20 @@ Configurations are int64, so models with more than 63 nodes raise
 ``ResourceLimitError``.
 
 Trajectories are simulated in fixed-size chunks; chunk ``i`` draws from
-``numpy.random.default_rng((seed, i))``, so results are reproducible and
-independent of how chunks would be distributed over workers.
+``numpy.random.default_rng((seed, i))``. The chunks run on a thread pool
+with one worker per CPU of the process's affinity mask (at most one per
+chunk), made and shut down within the call; numpy releases the GIL in the
+draws, the compare, the row gather and the product, so the workers run at
+once. Each chunk step goes in sub-blocks of ``_BLOCK_ROWS`` trajectories,
+taken from the chunk's one stream in row order, which draws the same
+numbers as one whole-chunk draw and keeps each step's arrays small. Counts
+are merged in chunk order, so results are reproducible and do not depend on
+the worker count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,18 +47,23 @@ from .model import NetworkModel, p_on, seed_tuple, validate
 __all__ = ["McResult", "evaluate_mc", "CHUNK_SIZE"]
 
 CHUNK_SIZE = 1 << 16
+_BLOCK_ROWS = 1 << 13
+"""Trajectories per sub-block of a chunk step."""
 _MAX_NODES = 63
 
 
 @dataclass(frozen=True)
 class McResult:
-    """Configuration counts over ``runs`` sampled trajectories, and the number
-    of configuration rows ``p_on`` evaluated to draw them."""
+    """Configuration counts over ``runs`` sampled trajectories, the number
+    of configuration rows ``p_on`` evaluated to draw them, and the worker
+    threads that ran the chunks (which results never depend on, so equality
+    ignores it)."""
 
     k: int
     counts: dict[int, int]
     runs: int
     p_on_rows: int
+    workers: int = field(compare=False)
 
     @property
     def estimates(self) -> dict[int, float]:
@@ -68,7 +81,9 @@ def _sample_chunk(model: NetworkModel, horizon: int, count: int, rng: np.random.
     configuration rows ``p_on`` evaluated for them.
 
     ``table`` is ``p_on`` of every configuration, or None to evaluate it on
-    the configurations present at each step."""
+    the configurations present at each step. Each step runs in sub-blocks of
+    rows in place: a sub-block reads only its own rows' configurations, and
+    before it overwrites them."""
     weights = 1 << np.arange(model.k, dtype=np.int64)
     configs = np.zeros(count, dtype=np.int64)
     rows = 0
@@ -78,9 +93,11 @@ def _sample_chunk(model: NetworkModel, horizon: int, count: int, rng: np.random.
             seen, index = np.unique(configs, return_inverse=True)
             lookup = p_on(model, seen)
             rows += len(seen)
-        # np.take gathers rows about three times faster than lookup[index]
-        probs = np.take(lookup, index, axis=0)
-        configs = (rng.random((count, model.k)) < probs) @ weights
+        for start in range(0, count, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            # np.take gathers rows about three times faster than lookup[index]
+            probs = np.take(lookup, index[block], axis=0)
+            configs[block] = (rng.random(probs.shape) < probs) @ weights
     return configs, rows
 
 
@@ -105,17 +122,23 @@ def evaluate_mc(model: NetworkModel, horizon: int, runs: int, seed) -> McResult:
     if 1 << model.k <= min(runs, CHUNK_SIZE):
         table = p_on(model, np.arange(1 << model.k))
         rows = len(table)
+    starts = range(0, runs, CHUNK_SIZE)
+
+    def sample(start: int):
+        rng = np.random.default_rng((*seeds, start // CHUNK_SIZE))
+        configs, chunk_rows = _sample_chunk(model, horizon, min(CHUNK_SIZE, runs - start), rng,
+                                            table)
+        return np.unique(configs, return_counts=True), chunk_rows
+
+    # imported here: concurrent.futures brings logging and queue along, about
+    # 1 MB resident that only a Monte Carlo run needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
     counts: dict[int, int] = {}
-    done = 0
-    chunk_index = 0
-    while done < runs:
-        size = min(CHUNK_SIZE, runs - done)
-        rng = np.random.default_rng((*seeds, chunk_index))
-        configs, chunk_rows = _sample_chunk(model, horizon, size, rng, table)
-        rows += chunk_rows
-        values, chunk_counts = np.unique(configs, return_counts=True)
-        for v, n in zip(values, chunk_counts):
-            counts[int(v)] = counts.get(int(v), 0) + int(n)
-        done += size
-        chunk_index += 1
-    return McResult(model.k, counts, runs, rows)
+    with ThreadPoolExecutor(workers) as pool:
+        for (values, chunk_counts), chunk_rows in pool.map(sample, starts):
+            rows += chunk_rows
+            for v, n in zip(values, chunk_counts):
+                counts[int(v)] = counts.get(int(v), 0) + int(n)
+    return McResult(model.k, counts, runs, rows, workers)

@@ -62,8 +62,10 @@ def test_mc_reports_are_bit_identical(capsys, fixtures_dir):
         second["results"], sort_keys=True)
     assert "spread" in first["results"]
     metrics = first["metrics"]
-    assert set(metrics) == {"chunks", "p_on_rows", "sample_s", "trajectories_per_s"}
+    assert set(metrics) == {"chunks", "p_on_rows", "sample_s", "trajectories_per_s",
+                            "workers"}
     assert metrics["chunks"] == 3  # one 65,536-run chunk a repeat
+    assert metrics["workers"] == 1  # one worker a chunk at most
     assert metrics["p_on_rows"] == 3 * 4  # one table of the 4 configurations a repeat
     assert metrics["sample_s"] > 0.0
     assert metrics["trajectories_per_s"] == pytest.approx(3 * 20000 / metrics["sample_s"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadeq import NetworkModel, ValidationError, evaluate, marginal
-from cascadeq.exact import _step_matrix
-from helpers import enumerate_distribution, random_model, step_probability
+from cascadeq.exact import _FOLD_PEAK, _step_matrix
+from helpers import enumerate_distribution, random_model, step_probability, traced_peak
 
 # printed three-decimal values of the worked two-node example
 PRINTED = {
@@ -20,6 +20,15 @@ PRINTED = {
 def test_step_matrix_single_node_failure_split():
     model = NetworkModel.from_triggers([0.3], [0.0], {})
     assert _step_matrix(model)[0] == pytest.approx([0.7, 0.3])
+
+
+@pytest.mark.parametrize("k", [10, 11])
+def test_fold_peaks_within_its_byte_budget_factor(k):
+    # the budget factor bounds the in-place fold's peak, and is not so loose
+    # that it would refuse models the fold could build
+    model = random_model(np.random.default_rng(k), k)
+    peak = traced_peak(lambda: _step_matrix(model))
+    assert peak <= _FOLD_PEAK * 8 * 4 ** k <= 1.3 * peak
 
 
 def test_step_matrix_no_recovery_keeps_mass():

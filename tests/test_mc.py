@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -56,19 +57,37 @@ def test_worker_equivalent_chunk_streams(two_node):
     assert counts == baseline.counts
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sample_chunk_matches_plain_sampler(seed):
+@pytest.mark.parametrize("seed, count", [
+    *(pytest.param(seed, 777, id=str(seed)) for seed in range(3)),
+    pytest.param(3, 2 * mc._BLOCK_ROWS + 5, id="3-ragged-sub-blocks")])
+def test_sample_chunk_matches_plain_sampler(seed, count):
     # same draws, same per-node probabilities, same comparisons: equal
-    # configurations, whether the probabilities come from the table or not
+    # configurations, whether the probabilities come from the table or not,
+    # and however the sub-blocks split the count
     rng = np.random.default_rng(seed)
     for k in range(1, 9):
         model = random_model(rng, k)
         horizon = int(rng.integers(0, 5))
-        want = sample_trajectories(model, horizon, 777, np.random.default_rng((seed, k)))
+        want = sample_trajectories(model, horizon, count, np.random.default_rng((seed, k)))
         for table in (p_on(model, np.arange(1 << k)), None):
-            got, _ = mc._sample_chunk(model, horizon, 777, np.random.default_rng((seed, k)),
+            got, _ = mc._sample_chunk(model, horizon, count, np.random.default_rng((seed, k)),
                                       table)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k, runs", [(2, 2 * mc.CHUNK_SIZE + 500), (17, mc.CHUNK_SIZE + 300),
+                                     (1, 2 * mc.CHUNK_SIZE + 1)])
+def test_counts_do_not_depend_on_the_worker_count(monkeypatch, k, runs):
+    # the table path with a ragged last chunk, the np.unique path, one node
+    model = random_model(np.random.default_rng(k), k)
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        results.append(evaluate_mc(model, 3, runs, seed=(4, k)))
+    one, three = results
+    assert one == three
+    assert (one.workers, three.workers) == (1, min(3, one.chunks))
+    assert sum(one.counts.values()) == runs
 
 
 def test_unique_path_counts_equal_the_table_paths():
