@@ -24,6 +24,7 @@ from .exact import DistributionTable, evaluate, marginal
 from .lowdepth import (
     FitResult,
     LowDepthTrace,
+    NoiseSpec,
     fit_noise_model,
     fit_sine,
     max_depth,
@@ -43,6 +44,6 @@ from .model import (
     validate,
 )
 from .qae import EigenphaseResult, QaeResult, decode_outcome, grover_eigenphase, run_standard_qae
-from .sim import NoiseSpec, probabilities, run
+from .sim import probabilities, run
 
 __version__ = "0.1.0"

@@ -48,6 +48,7 @@ from .exact import evaluate, marginal
 from .lowdepth import (
     FitResult,
     LowDepthTrace,
+    NoiseSpec,
     fit_noise_model,
     fit_sine,
     predict,
@@ -57,7 +58,7 @@ from .lowdepth import (
 from .mc import evaluate_mc
 from .model import format_config, load_model
 from .qae import _qae_sweep, grover_eigenphase
-from .sim import DEFAULT_QUBIT_CAP, NoiseSpec
+from .sim import DEFAULT_QUBIT_CAP
 
 _CURVE_STEP = 0.05
 
@@ -80,11 +81,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     started = time.perf_counter()
     try:
-        command, inputs, results, payload, metrics = args.handler(args)
+        inputs, results, payload, metrics = args.handler(args)
         if payload is None:
             report = {
                 "tool": {"name": "cascadeq", "version": __version__},
-                "command": command,
+                "command": args.command,
                 "inputs": inputs,
                 "results": results,
                 "duration_seconds": time.perf_counter() - started,
@@ -93,18 +94,11 @@ def main(argv=None) -> int:
                 report["metrics"] = metrics
             payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
         _write(payload, args.out)
-    except (ParseError, MissingSeriesError) as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
-    except FitDivergedError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 3
     except CascadeqError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, ResourceLimitError):
+            return 2
+        return 3 if isinstance(exc, FitDivergedError) else 1
     except OSError as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return 1
@@ -208,7 +202,7 @@ def _cmd_exact(args):
             for t, table in enumerate(tables)
         ]
     }
-    return "exact", {"model": args.model, "steps": args.steps}, results, None, None
+    return {"model": args.model, "steps": args.steps}, results, None, None
 
 
 def _cmd_mc(args):
@@ -245,7 +239,7 @@ def _cmd_mc(args):
                "sample_s": sample_s,
                "trajectories_per_s": args.runs * args.repeats / sample_s,
                "workers": max(r.workers for r in repeats)}
-    return "mc", inputs, results, None, metrics
+    return inputs, results, None, metrics
 
 
 def _grover_spec(args, model) -> GroverSpec:
@@ -289,7 +283,7 @@ def _cmd_circuit(args):
                "listing_bytes": listing_bytes,
                "build_s": built - started,
                "emit_s": emit_s}
-    return "circuit", inputs, results, None, metrics
+    return inputs, results, None, metrics
 
 
 def _cmd_qae(args):
@@ -314,7 +308,7 @@ def _cmd_qae(args):
                 "residual": result.residual,
             }
         }
-        return "qae", inputs, results, None, metrics(result.residual)
+        return inputs, results, None, metrics(result.residual)
     bits_list = _parse_int_list(args.bits_text)
     # one model run for the whole sweep; each bit count draws with its own seed
     estimates = _qae_sweep(model, args.steps, spec,
@@ -328,7 +322,7 @@ def _cmd_qae(args):
         "probability": r.probability,
     } for r in estimates]
     inputs["bits"] = bits_list
-    return "qae", inputs, {"sweep": sweep}, None, metrics(estimates[0].residual)
+    return inputs, {"sweep": sweep}, None, metrics(estimates[0].residual)
 
 
 def _exact_theta(model, steps: int, spec: GroverSpec) -> tuple[float, float]:
@@ -360,14 +354,14 @@ def _cmd_lowdepth(args):
               "schedule": schedule, "shots": args.shots, "seed": args.seed,
               "noise_epsilon": noise.per_grover_error if noise else None,
               "fix_f": args.fix_f}
-    return "lowdepth", inputs, results, None, metrics
+    return inputs, results, None, metrics
 
 
 def _cmd_fit(args):
     trace = trace_from_text(_read_text(args.trace))
     fits, metrics = _fit_blocks(trace, args.fix_f)
     results = {"trace": _trace_dict(trace), **fits}
-    return "fit", {"trace": args.trace, "fix_f": args.fix_f}, results, None, metrics
+    return {"trace": args.trace, "fix_f": args.fix_f}, results, None, metrics
 
 
 def _cmd_plotdata(args):
@@ -382,7 +376,7 @@ def _cmd_plotdata(args):
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"report series is malformed: {exc!r}") from exc
     payload = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-    return "plotdata", {"report": args.report, "figure": args.figure}, {}, payload, None
+    return {"report": args.report, "figure": args.figure}, {}, payload, None
 
 
 def _plot_rows(figure: str, report) -> list[tuple]:

@@ -3,16 +3,18 @@
 The marked-count response after ``l`` Grover applications is
 ``r(theta, l, a, f) = e^{-a l} sin^2((2l+1) theta/2) + (1 - e^{-a l}) f``
 where ``a`` is the per-Grover error decay rate and ``f`` the expected marked
-fraction of a scrambled shot. Fits minimize the sum of squared residuals on
-count fractions. The loss is first evaluated on a (theta, a) grid with ``f``
-profiled out in closed form (variable projection), and a batched,
-box-projected Levenberg-Marquardt solver (analytic Jacobian) refines the
-grid's best points: the best angle of each grid rate for the damped model,
-the four best angles for the sine fit. ``f`` is kept in [0, 1], and
-``a`` at or above -1 (or -100 / max l, for schedules reaching past power
-100) so ``e^{-a l}`` cannot overflow. Angles follow the eigenphase
-convention ``p = sin^2(theta/2)``; ``theta`` and ``2*pi - theta`` predict
-identical integer-power responses, so fits always report the smaller angle.
+fraction of a scrambled shot. A schedule run draws each power's count as one
+binomial of this mean, with ``f = 2^-m`` for m marked nodes. Fits minimize
+the sum of squared residuals on count fractions. The loss is first evaluated
+on a (theta, a) grid with ``f`` profiled out in closed form (variable
+projection), and a batched, box-projected Levenberg-Marquardt solver
+(analytic Jacobian) refines the grid's best points: the best angle of each
+grid rate for the damped model, the four best angles for the sine fit.
+``f`` is kept in [0, 1], and ``a`` at or above -1 (or -100 / max l, for
+schedules reaching past power 100) so ``e^{-a l}`` cannot overflow. Angles
+follow the eigenphase convention ``p = sin^2(theta/2)``; ``theta`` and
+``2*pi - theta`` predict identical integer-power responses, so fits always
+report the smaller angle.
 """
 from __future__ import annotations
 
@@ -25,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import GroverSpec
-from .errors import FitDivergedError, ParseError, ValidationError, check_dense_bytes
+from .errors import FitDivergedError, ParseError, ResourceLimitError, ValidationError
 from .model import NetworkModel, seed_tuple
 from .qae import _half_angle, _plane
-from .sim import _SHOT_PEAK, DEFAULT_QUBIT_CAP, NoiseSpec, sample_marked
+from .sim import DEFAULT_QUBIT_CAP
 
 __all__ = [
+    "NoiseSpec",
     "LowDepthTrace",
     "FitResult",
     "predict",
@@ -42,6 +45,26 @@ __all__ = [
     "trace_to_text",
     "trace_from_text",
 ]
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Phenomenological channel: each Grover application scrambles the shot
+    with probability ``per_grover_error``; a scrambled shot measures uniformly
+    over the observed register. ``1 - per_grover_error = e^{-a}`` maps to the
+    decay rate ``a`` of the damped-oscillation response."""
+
+    per_grover_error: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.per_grover_error <= 1.0:
+            raise ValidationError("per-Grover error must be in [0, 1]", code="out-of-range")
+
+    @classmethod
+    def from_decay_rate(cls, a: float) -> "NoiseSpec":
+        if a < 0.0:
+            raise ValidationError("decay rate must be >= 0", code="out-of-range")
+        return cls(1.0 - math.exp(-a))
 
 
 @dataclass(frozen=True)
@@ -117,28 +140,21 @@ def predict(theta: float, power, a: float, f: float):
     return float(value) if np.isscalar(power) else value
 
 
-def _power_distributions(model: NetworkModel, horizon: int, spec: GroverSpec, powers,
-                         qubit_cap: int):
-    """Run the model once; iterate the register distribution after each of
-    ``powers`` Grover applications: power l mixes the plane's two parts,
-    each normalised (an empty part stays zero), with weights sin^2((2l+1)a)
-    and cos^2((2l+1)a)."""
-    marked, unmarked, p, _ = _plane(model, horizon, spec, qubit_cap)
-    on, off = (m / m.sum() if m.any() else m for m in (marked, unmarked))
-    angle = _half_angle(p)
-    weights = (math.sin((2 * l + 1) * angle) ** 2 for l in powers)
-    return (w * on + (1.0 - w) * off for w in weights)
+_MAX_SHOTS = 1 << 53
+"""Most shots one power may take: a trace holds its counts as floats, which
+hold every integer up to 2^53 exactly."""
 
 
 def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
                  shots, noise: NoiseSpec | None = None, seed=0,
                  qubit_cap: int = DEFAULT_QUBIT_CAP) -> LowDepthTrace:
-    """Run the model plus each scheduled Grover power and count marked results.
+    """Run the model once and draw each scheduled power's marked count.
 
-    One model run gives every power's distribution; no Grover gate is
-    simulated. Sampling at power l uses the stream seeded by (seed, l), so
-    any two schedules agree on their common powers. Shots past the byte
-    budget are refused before the model runs.
+    Power l's count is Binomial(shots, s sin^2((2l+1)a) + (1 - s) 2^-m), with
+    s = (1 - epsilon)^l the channel's survival, sin(a) = sqrt(p) and m the
+    marked nodes, drawn from the stream seeded by (seed, l): any two
+    schedules agree on their common powers. Shots past 2^53 are refused
+    before the model runs.
     """
     schedule = tuple(int(l) for l in schedule)
     if not schedule:
@@ -153,16 +169,20 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
     if any(l < 0 for l in schedule) or len(set(schedule)) != len(schedule):
         raise ValidationError("schedule powers must be distinct and >= 0",
                               code="invalid-schedule")
-    check_dense_bytes(max(per_shots) * _SHOT_PEAK, f"sampling {max(per_shots)} shots")
+    if max(per_shots) > _MAX_SHOTS:
+        raise ResourceLimitError(f"{max(per_shots)} shots exceed 2^53, the most a trace's "
+                                 "float counts hold exactly")
     epsilon = noise.per_grover_error if noise is not None else 0.0
     seeds = seed_tuple(seed)
-    distributions = _power_distributions(model, horizon, spec, schedule, qubit_cap)
-    mask = spec.matches(np.arange(1 << model.k))
-    counts = tuple(
-        sample_marked(probs, mask, n, (1.0 - epsilon) ** power,
-                      np.random.default_rng((*seeds, power)))
-        for probs, power, n in zip(distributions, schedule, per_shots))
-    return LowDepthTrace(schedule, per_shots, counts)
+    p, _ = _plane(model, horizon, spec, qubit_cap)
+    angle = _half_angle(p)
+    scrambled = 0.5 ** len(spec.marked)
+    counts = []
+    for power, n in zip(schedule, per_shots):
+        survival = (1.0 - epsilon) ** power
+        hit = survival * math.sin((2 * power + 1) * angle) ** 2 + (1.0 - survival) * scrambled
+        counts.append(int(np.random.default_rng((*seeds, power)).binomial(n, min(hit, 1.0))))
+    return LowDepthTrace(schedule, per_shots, tuple(counts))
 
 
 # --- fitting -------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .circuit import GroverSpec, build_model_circuit
 from .errors import DegenerateSubspaceError, ResourceLimitError, ValidationError
 from .model import NetworkModel, seed_tuple
-from .sim import DEFAULT_QUBIT_CAP, _draw_counts, check_run_size, probabilities, run
+from .sim import DEFAULT_QUBIT_CAP, check_run_size, probabilities, run
 
 __all__ = [
     "QaeResult",
@@ -79,13 +79,13 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
 
 
 def _plane(model: NetworkModel, horizon: int, spec: GroverSpec,
-           qubit_cap: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The Grover plane from one model run: (marked, unmarked, p, residual).
+           qubit_cap: int) -> tuple[float, float]:
+    """The Grover plane from one model run: (p, residual).
 
-    The parts of the target-register marginal hold it at their own
-    configurations and 0 elsewhere; p and q are their sums, and the residual
-    is |1 - p - q|. What ``run`` refuses is refused unbuilt, and a marked
-    node or step outside the layout before the run."""
+    p and q are the sums of the target-register marginal over its marked
+    and unmarked configurations, and the residual is |1 - p - q|. What
+    ``run`` refuses is refused unbuilt, and a marked node or step outside
+    the layout before the run."""
     if horizon >= 1:
         check_run_size(model.k * horizon, qubit_cap)
     base = build_model_circuit(model, horizon)
@@ -93,9 +93,9 @@ def _plane(model: NetworkModel, horizon: int, spec: GroverSpec,
         base.qubit(node, spec.target_step)
     dist = probabilities(run(base, qubit_cap=qubit_cap), base.register(spec.target_step))
     mask = spec.matches(np.arange(len(dist)))
-    marked, unmarked = np.where(mask, dist, 0.0), np.where(mask, 0.0, dist)
-    p, q = float(marked.sum()), float(unmarked.sum())
-    return marked, unmarked, p, abs(q + p - 1.0)
+    p = float(np.where(mask, dist, 0.0).sum())
+    q = float(np.where(mask, 0.0, dist).sum())
+    return p, abs(q + p - 1.0)
 
 
 def _half_angle(p: float) -> float:
@@ -113,6 +113,18 @@ def _ancilla_distribution(angle: float, bits: int) -> np.ndarray:
     turns = (2.0 * np.arange(size) + 1.0) * angle
     powers = np.stack([np.cos(turns), np.sin(turns)], axis=1)
     return (np.abs(np.fft.fft(powers, axis=0)) ** 2).sum(axis=1) / size ** 2
+
+
+def _draw_counts(probs: np.ndarray, shots: int, seed) -> dict[int, int]:
+    """Seeded multinomial draw of ``shots`` outcomes from ``probs``, clipped at
+    0 and normalised; keys are the outcome indices drawn at least once."""
+    if shots < 1:
+        raise ValidationError("shots must be >= 1", code="invalid-shots")
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    rng = np.random.default_rng(seed_tuple(seed))
+    drawn = rng.multinomial(shots, probs)
+    return {int(v): int(c) for v, c in enumerate(drawn) if c}
 
 
 def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots: int,
@@ -137,7 +149,7 @@ def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots
         if shots >= 1 << 63:
             raise ResourceLimitError(f"{shots} shots exceed the 2^63 - 1 that an int64 "
                                      "draw count holds")
-    _, _, p, residual = _plane(model, horizon, spec, qubit_cap)
+    p, residual = _plane(model, horizon, spec, qubit_cap)
     angle = _half_angle(p)
     results = []
     for bits, seed in pairs:
@@ -171,7 +183,7 @@ def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
     eigendecomposition. The residual reports how far that marginal's total
     is from 1; it should be at numerical noise level.
     """
-    _, _, p, residual = _plane(model, horizon, spec, qubit_cap)
+    p, residual = _plane(model, horizon, spec, qubit_cap)
     if p < 1e-12 or p > 1.0 - 1e-12:
         raise DegenerateSubspaceError(
             f"marked probability {p!r} leaves no two-dimensional rotation plane")

@@ -23,23 +23,19 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import DENSE_BYTE_BUDGET, ResourceLimitError, ValidationError, check_dense_bytes
-from .model import seed_tuple
 
 __all__ = [
     "DEFAULT_QUBIT_CAP",
-    "NoiseSpec",
     "run",
     "check_run_size",
     "apply_gates",
     "probabilities",
-    "sample_marked",
 ]
 
 DEFAULT_QUBIT_CAP = 20
@@ -62,32 +58,6 @@ temporary leaves a hole that other allocations can split, and the next one
 then takes fresh pages. With state-sized temporaries, processes doing the
 same 20-qubit work peak at either of two levels, 8 MB apart, depending on
 what else allocated in between."""
-
-_SHOT_PEAK = 32
-"""Peak bytes of :func:`sample_marked` per shot. Tracemalloc at 10^5 to
-4 * 10^6 shots on registers of 2 and 64 values: 25.0 with every shot
-surviving (the uniform draws, the survival mask, the outcomes and the
-drawn values), 23.4 at survival 0.9, 18.0 at 0 and 17.0 at 0.5."""
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Phenomenological channel: each Grover application scrambles the shot
-    with probability ``per_grover_error``; a scrambled shot measures uniformly
-    over the observed register. ``1 - per_grover_error = e^{-a}`` maps to the
-    decay rate ``a`` of the damped-oscillation response."""
-
-    per_grover_error: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.per_grover_error <= 1.0:
-            raise ValidationError("per-Grover error must be in [0, 1]", code="out-of-range")
-
-    @classmethod
-    def from_decay_rate(cls, a: float) -> "NoiseSpec":
-        if a < 0.0:
-            raise ValidationError("decay rate must be >= 0", code="out-of-range")
-        return cls(1.0 - math.exp(-a))
 
 
 def _zeros(size: int, dtype) -> np.ndarray:
@@ -269,45 +239,6 @@ def probabilities(state: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     rank = {ax: i for i, ax in enumerate(kept)}
     perm = [rank[_axis(n, q)] for q in reversed(qubits)]
     return p.transpose(perm).reshape(-1)
-
-
-def _draw_counts(probs: np.ndarray, shots: int, seed) -> dict[int, int]:
-    """Seeded multinomial draw of ``shots`` outcomes from ``probs``, clipped at
-    0 and normalised; keys are the outcome indices drawn at least once."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1", code="invalid-shots")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed_tuple(seed))
-    drawn = rng.multinomial(shots, probs)
-    return {int(v): int(c) for v, c in enumerate(drawn) if c}
-
-
-def sample_marked(probs: np.ndarray, marked: np.ndarray, shots: int,
-                  survival: float, rng: np.random.Generator) -> int:
-    """Count marked outcomes of ``shots`` draws over the shot-scrambling channel.
-
-    ``probs`` is the register distribution, clipped at 0 and normalised
-    before the draw, and ``marked`` the boolean mask of its marked values.
-    Each shot survives with probability ``survival`` and then measures
-    ``probs``; otherwise it measures uniformly over the register.
-    """
-    if shots < 1:
-        raise ValidationError("shots must be >= 1", code="invalid-shots")
-    if marked.shape != probs.shape:
-        raise ValidationError(f"mask has shape {marked.shape}, expected {probs.shape}",
-                              code="dimension-mismatch")
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    dim = len(probs)
-    clean = rng.random(shots) < survival
-    outcomes = np.empty(shots, dtype=np.int64)
-    n_clean = int(clean.sum())
-    if n_clean:
-        outcomes[clean] = rng.choice(dim, size=n_clean, p=probs)
-    if shots - n_clean:
-        outcomes[~clean] = rng.integers(0, dim, size=shots - n_clean)
-    return int(marked[outcomes].sum())
 
 
 def _qubit_count(state: np.ndarray) -> int:

@@ -474,20 +474,19 @@ def test_eigenphase_over_its_peak_budget_exits_2_before_allocating(capsys, tmp_p
     assert captured.out == ""
 
 
-def test_lowdepth_past_the_shot_budget_exits_2_before_sampling(capsys, fixtures_dir,
-                                                               monkeypatch):
-    # 10^12 shots would draw terabytes of uniforms; the refusal must come
-    # before the model run and the draws
+def test_lowdepth_past_2_53_shots_exits_2_before_the_model_runs(capsys, fixtures_dir,
+                                                                 monkeypatch):
+    # a trace holds its counts as floats, exact up to 2^53; one shot more is
+    # refused before the model runs
     import cascadeq.lowdepth
 
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("the schedule was sampled")
+    def no_plane(*args, **kwargs):
+        raise AssertionError("the model was run")
 
-    monkeypatch.setattr(cascadeq.lowdepth, "_power_distributions", no_allocation)
-    monkeypatch.setattr(cascadeq.lowdepth, "sample_marked", no_allocation)
+    monkeypatch.setattr(cascadeq.lowdepth, "_plane", no_plane)
     code = main(["lowdepth", "--model", model_path(fixtures_dir, "two_node_model.json"),
                  "--steps", "3", "--config", "11", "--schedule", "0..8",
-                 "--shots", "1000000000000"])
+                 "--shots", str((1 << 53) + 1)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")

@@ -5,9 +5,9 @@ and through the emitted gate listing), the Grover eigenphase and Monte Carlo
 all describe the same step-T distribution, and standard QAE computed on the
 Grover plane gives the phase-estimation circuit's ancilla distribution. The
 Grover circuit equals the reflection form the library computes with in its
-place, and the schedule's closed-form distributions equal the simulated
-Grover powers. The float64 statevector of a circuit with no ``phase`` gate
-is the real part of its complex128 run.
+place, and the schedule's closed-form marked mass equals that of the
+simulated Grover powers. The float64 statevector of a circuit with no
+``phase`` gate is the real part of its complex128 run.
 """
 import math
 
@@ -30,7 +30,6 @@ from cascadeq import (
     probabilities,
     run,
 )
-from cascadeq.lowdepth import _power_distributions
 from cascadeq.qae import _ancilla_distribution, _half_angle, _plane
 from cascadeq.sim import apply_gates
 from helpers import enumerate_distribution, extract_unitary
@@ -106,7 +105,7 @@ def test_plane_distribution_matches_phase_estimation_circuit(model, horizon, bit
     assume(1e-9 < p < 1.0 - 1e-9)
     circuit = build_qae_circuit(model, horizon, spec, bits)
     want = probabilities(run(circuit), circuit.ancillas)
-    _, _, plane_p, residual = _plane(model, horizon, spec, qubit_cap=20)
+    plane_p, residual = _plane(model, horizon, spec, qubit_cap=20)
     got = _ancilla_distribution(_half_angle(plane_p), bits)
     assert residual < 1e-8
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -137,15 +136,19 @@ def test_grover_circuit_is_the_reflection_form(model, horizon, data):
 @settings(max_examples=25, deadline=None)
 @given(models(), _HORIZONS, st.data())
 def test_schedule_distributions_match_simulated_grover_powers(model, horizon, data):
+    # the marked mass after l simulated Grover applications is the closed
+    # form sin^2((2l+1)a) that run_schedule draws its counts from
     spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
     base = build_model_circuit(model, horizon)
     grover = build_grover(model, horizon, spec)
     register = base.register(spec.target_step)
+    marked = spec.matches(np.arange(1 << len(register)))
+    angle = _half_angle(_plane(model, horizon, spec, qubit_cap=20)[0])
     state = run(base)
-    powers = range(9)
-    for power, got in zip(powers, _power_distributions(model, horizon, spec, powers,
-                                                       qubit_cap=20)):
-        assert np.allclose(got, probabilities(state, register), rtol=0.0, atol=1e-12)
+    for power in range(9):
+        mass = probabilities(state, register)[marked].sum()
+        assert math.isclose(mass, math.sin((2 * power + 1) * angle) ** 2,
+                            rel_tol=0.0, abs_tol=1e-12)
         apply_gates(state, grover.gates, grover.n_qubits)
 
 

@@ -12,6 +12,7 @@ from cascadeq import (
     NetworkModel,
     NoiseSpec,
     ParseError,
+    ResourceLimitError,
     ValidationError,
     evaluate,
     fit_noise_model,
@@ -80,7 +81,7 @@ def test_run_schedule_seeded_trace_is_pinned(two_node):
     # literals, so a change to how p is summed cannot move a seeded trace unseen
     trace = run_schedule(two_node, 3, GroverSpec.from_config("11", 3), range(9), 200,
                          noise=NoiseSpec(0.05), seed=6)
-    assert trace.marked == (67, 179, 5, 151, 83, 42, 164, 27, 116)
+    assert trace.marked == (70, 178, 11, 154, 88, 44, 156, 17, 123)
 
 
 def test_run_schedule_power_zero_estimates_probability(one_node):
@@ -106,6 +107,31 @@ def test_noisy_schedule_recovers_single_step_probability(one_node):
     trace = run_schedule(one_node, 1, spec, range(9), 2000, noise=noise, seed=5)
     fit = fit_noise_model(trace)
     assert fit.probability == pytest.approx(0.3, abs=0.05)
+
+
+def test_fully_scrambled_schedule_hits_one_in_2_to_the_marked_nodes(two_node):
+    # a scrambled shot is uniform over the register, so it is marked with
+    # probability 2^-m for m marked nodes, not 1/2
+    shots = 20_000
+    for pattern, fraction in (("11", 0.25), ("1*", 0.5)):
+        spec = GroverSpec.from_config(pattern, 3)
+        trace = run_schedule(two_node, 3, spec, range(1, 9), shots, noise=NoiseSpec(1.0),
+                             seed=9)
+        sigma = math.sqrt(shots * fraction * (1.0 - fraction))
+        for count in trace.marked:
+            assert abs(count - fraction * shots) <= 5.0 * sigma
+
+
+def test_run_schedule_counts_2_to_the_53_shots_exactly():
+    # every shot of a p = 1 model is marked, and 2^53 is the largest count a
+    # trace holds exactly
+    model = NetworkModel.from_triggers([1.0], [0.0], {})
+    spec = GroverSpec.from_config("1", 1)
+    shots = 1 << 53
+    trace = run_schedule(model, 1, spec, [0, 1, 2], shots)
+    assert trace.marked == trace.shots == (shots,) * 3
+    with pytest.raises(ResourceLimitError):
+        run_schedule(model, 1, spec, [0, 1], [3, shots + 1])
 
 
 def test_run_schedule_validation(one_node):

@@ -19,7 +19,8 @@ from cascadeq import (
     run_schedule,
 )
 from cascadeq import sim
-from cascadeq.sim import _draw_counts, apply_gates, sample_marked
+from cascadeq.qae import _draw_counts
+from cascadeq.sim import apply_gates
 from helpers import extract_unitary, mapped_bytes, random_model, traced_peak
 
 
@@ -342,33 +343,3 @@ def test_survival_fraction_tracks_power():
         expectation = survival + (1.0 - survival) * 0.5
         sigma = math.sqrt(expectation * (1.0 - expectation) / shots)
         assert abs(count / shots - expectation) <= 3.0 * sigma
-
-
-def test_sample_marked_validates_shots():
-    probs, mask = np.array([1.0, 0.0]), np.array([False, True])
-    with pytest.raises(ValidationError):
-        sample_marked(probs, mask, 0, 1.0, np.random.default_rng(0))
-    with pytest.raises(ValidationError) as err:
-        sample_marked(probs, mask[:1], 10, 1.0, np.random.default_rng(0))
-    assert err.value.code == "dimension-mismatch"
-
-
-@pytest.mark.parametrize("survival", [1.0, 0.9, 0.5, 0.0])
-def test_sample_marked_peaks_within_its_shot_factor(survival):
-    probs, mask = np.full(8, 0.125), np.arange(8) % 3 == 0
-    for shots in (100_000, 400_000):
-        peak = traced_peak(lambda: sample_marked(probs, mask, shots, survival,
-                                                 np.random.default_rng(2)))
-        assert peak < sim._SHOT_PEAK * shots
-
-
-def test_schedule_shots_at_the_byte_budget(monkeypatch):
-    import cascadeq.errors as errors_module
-
-    model = NetworkModel.from_triggers([0.3], [0.0], {})
-    spec = GroverSpec.from_config("1", 1)
-    shots = 100_000
-    monkeypatch.setattr(errors_module, "DENSE_BYTE_BUDGET", shots * sim._SHOT_PEAK)
-    assert run_schedule(model, 1, spec, [0, 1], [shots, 3]).shots == (shots, 3)
-    with pytest.raises(ResourceLimitError):
-        run_schedule(model, 1, spec, [0, 1], [3, shots + 1])
