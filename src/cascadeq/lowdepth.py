@@ -435,19 +435,31 @@ def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResu
 def _signal_detectable(a: float, power: int, shots: int, f: float) -> bool:
     """Strict inequality: mean absolute deviation below the damped amplitude."""
     deviation = math.sqrt(2.0 / math.pi) * math.sqrt(f * (1.0 - f) / shots)
-    return deviation < math.exp(-a * power)
+    # where a * power <= 0 the amplitude is at least 1, above any deviation
+    # (at most 0.4), and e^{-a*power} may overflow
+    return a * power <= 0.0 or deviation < math.exp(-a * power)
+
+
+def _check_bound_inputs(a: float, f: float) -> None:
+    if not 0.0 < f < 1.0:
+        raise ValidationError("bound needs f strictly inside (0, 1)", code="f-degenerate")
+    if not math.isfinite(a):
+        raise ValidationError(f"a = {a!r} is not finite", code="out-of-range")
 
 
 def min_shots(a: float, power: int, f: float) -> int:
     """Smallest repetition count whose mean absolute deviation stays below the signal.
 
-    Solves sqrt(2/pi) * sqrt(f(1-f)/N) < e^{-a*power} for integer N.
+    Solves sqrt(2/pi) * sqrt(f(1-f)/N) < e^{-a*power} for integer N. An answer
+    past 2^53 (``_MAX_SHOTS``) raises ResourceLimitError.
     """
-    if not 0.0 < f < 1.0:
-        raise ValidationError("bound needs f strictly inside (0, 1)", code="f-degenerate")
+    _check_bound_inputs(a, f)
     if power < 0:
         raise ValidationError("power must be >= 0", code="invalid-power")
-    n = max(math.ceil((2.0 / math.pi) * f * (1.0 - f) * math.exp(2.0 * a * power)), 1)
+    if not _signal_detectable(a, power, _MAX_SHOTS, f):
+        raise ResourceLimitError(f"the signal at power {power} needs more than 2^53 shots")
+    # the closed form, then +-1 steps to the exact integer
+    n = max(math.ceil(math.exp(2.0 * a * power + math.log((2.0 / math.pi) * f * (1.0 - f)))), 1)
     while n > 1 and _signal_detectable(a, power, n - 1, f):
         n -= 1
     while not _signal_detectable(a, power, n, f):
@@ -456,14 +468,22 @@ def min_shots(a: float, power: int, f: float) -> int:
 
 
 def max_depth(a: float, shots: int, f: float) -> int:
-    """Largest Grover power still above the noise floor for ``shots`` repetitions."""
-    if not 0.0 < f < 1.0:
-        raise ValidationError("bound needs f strictly inside (0, 1)", code="f-degenerate")
+    """Largest Grover power still above the noise floor for ``shots`` repetitions.
+
+    ``shots``, or an answer, past 2^53 (``_MAX_SHOTS``) raises ResourceLimitError.
+    """
+    _check_bound_inputs(a, f)
     if a <= 0.0:
         raise ValidationError("depth is unbounded for a <= 0", code="a-nonpositive")
     if shots < 1:
         raise ValidationError("shots must be >= 1", code="invalid-shots")
-    depth = max(math.floor(math.log(math.pi * shots / (2.0 * f * (1.0 - f))) / (2.0 * a)), 0)
+    if shots > _MAX_SHOTS:
+        raise ResourceLimitError(f"{shots} shots exceed 2^53")
+    if _signal_detectable(a, _MAX_SHOTS + 1, shots, f):
+        raise ResourceLimitError(f"the signal at rate a = {a!r} outlasts power 2^53")
+    # the closed form, then +-1 steps to the exact integer
+    depth = max(math.floor((math.log(math.pi * shots / 2.0) - math.log(f * (1.0 - f)))
+                           / (2.0 * a)), 0)
     while depth > 0 and not _signal_detectable(a, depth, shots, f):
         depth -= 1
     while _signal_detectable(a, depth + 1, shots, f):

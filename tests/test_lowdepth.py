@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -448,9 +450,65 @@ def test_max_depth_examples():
         max_depth(1.0, 100, 1.0)
 
 
+@contextlib.contextmanager
+def _within_one_second():
+    """Raise TimeoutError in the block if it runs for more than a second."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bound, args, error, code", [
+    # answers past 2^53: the closed form's +-1 steps would walk float gaps
+    (min_shots, (1.0, 30, 0.5), ResourceLimitError, "resource-limit"),
+    (max_depth, (1e-30, 10, 0.5), ResourceLimitError, "resource-limit"),
+    # ... or overflow a float
+    (min_shots, (1.0, 400, 0.5), ResourceLimitError, "resource-limit"),
+    (max_depth, (5e-324, 10, 0.5), ResourceLimitError, "resource-limit"),
+    (max_depth, (0.5, 10 ** 400, 0.5), ResourceLimitError, "resource-limit"),
+    (max_depth, (0.5, 2 ** 53 + 1, 0.5), ResourceLimitError, "resource-limit"),
+    (min_shots, (math.nan, 3, 0.5), ValidationError, "out-of-range"),
+    (min_shots, (math.inf, 3, 0.5), ValidationError, "out-of-range"),
+    (max_depth, (math.nan, 100, 0.5), ValidationError, "out-of-range"),
+    (max_depth, (math.inf, 100, 0.5), ValidationError, "out-of-range"),
+])
+def test_bounds_refuse_promptly(bound, args, error, code):
+    with _within_one_second(), pytest.raises(error) as err:
+        bound(*args)
+    assert err.value.code == code
+
+
+def test_bounds_answer_up_to_two_to_the_53():
+    with _within_one_second():
+        shots = min_shots(1.0, 18, 0.5)  # about 6.9e14
+        depth = max_depth(1e-14, 10, 0.5)  # about 2.1e14
+        assert max_depth(0.5, 2 ** 53, 0.5) == 38
+        # a signal that grows with the power needs one shot, however deep
+        assert min_shots(-1.0, 1000, 0.5) == 1
+    assert 2 ** 49 < shots < 2 ** 53 and 2 ** 47 < depth < 2 ** 53
+    assert lowdepth._signal_detectable(1.0, 18, shots, 0.5)
+    assert not lowdepth._signal_detectable(1.0, 18, shots - 1, 0.5)
+    assert lowdepth._signal_detectable(1e-14, depth, 10, 0.5)
+    assert not lowdepth._signal_detectable(1e-14, depth + 1, 10, 0.5)
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=st.floats(0.05, 2.0), power=st.integers(0, 10),
        f=st.floats(0.05, 0.95))
+@example(a=2.0, power=10, f=0.5)  # about 3.7e16 shots: refused
 def test_bounds_mutually_consistent(a, power, f):
-    shots = min_shots(a, power, f)
+    try:
+        shots = min_shots(a, power, f)
+    except ResourceLimitError:
+        # refused only where even 2^53 shots would not show the signal
+        # (a * power above about 19 at f = 1/2)
+        assert not lowdepth._signal_detectable(a, power, 2 ** 53, f)
+        return
     assert max_depth(a, shots, f) >= power
