@@ -450,12 +450,15 @@ def _check_bound_inputs(a: float, f: float) -> None:
 def min_shots(a: float, power: int, f: float) -> int:
     """Smallest repetition count whose mean absolute deviation stays below the signal.
 
-    Solves sqrt(2/pi) * sqrt(f(1-f)/N) < e^{-a*power} for integer N. An answer
-    past 2^53 (``_MAX_SHOTS``) raises ResourceLimitError.
+    Solves sqrt(2/pi) * sqrt(f(1-f)/N) < e^{-a*power} for integer N.
+    ``power``, or an answer, past 2^53 (``_MAX_SHOTS``) raises
+    ResourceLimitError.
     """
     _check_bound_inputs(a, f)
     if power < 0:
         raise ValidationError("power must be >= 0", code="invalid-power")
+    if power > _MAX_SHOTS:  # before a * power, which may not fit a float
+        raise ResourceLimitError("a power past 2^53 is refused")
     if not _signal_detectable(a, power, _MAX_SHOTS, f):
         raise ResourceLimitError(f"the signal at power {power} needs more than 2^53 shots")
     # the closed form, then +-1 steps to the exact integer

@@ -128,6 +128,27 @@ def extract_unitary(circuit: Circuit, qubit_cap: int = 10) -> np.ndarray:
     return matrix
 
 
+def deferred_order(gates) -> list:
+    """The gates in the order ``run`` applies them, restated without a state.
+
+    An uncontrolled ``ry`` on a qubit above every qubit the gates placed so
+    far touch, and with no ``ry`` waiting on it yet, waits. A gate that does
+    not wait is placed after the waiting rotations on qubits up to its own
+    highest qubit, in ascending order; the rest follow at the end.
+    """
+    out, waiting, high = [], {}, -1
+    for gate in gates:
+        top = max(gate.qubits)
+        if top > high:
+            if gate.kind == "ry" and not gate.controls and top not in waiting:
+                waiting[top] = gate
+                continue
+            out += [waiting.pop(q) for q in sorted(waiting) if q <= top]
+            high = top
+        out.append(gate)
+    return out + [waiting[q] for q in sorted(waiting)]
+
+
 def plain_emit(c: Circuit) -> str:
     """The gate listing formatted one reference at a time, with no memo."""
     return "".join(_emit_line(g) + "\n" for gate in c.gates for g in _lower(gate))

@@ -478,6 +478,10 @@ def _within_one_second():
     (min_shots, (math.inf, 3, 0.5), ValidationError, "out-of-range"),
     (max_depth, (math.nan, 100, 0.5), ValidationError, "out-of-range"),
     (max_depth, (math.inf, 100, 0.5), ValidationError, "out-of-range"),
+    # a power past 2^53, before a * power overflows a float
+    (min_shots, (1.0, 10 ** 400, 0.5), ResourceLimitError, "resource-limit"),
+    (min_shots, (0.0, 10 ** 400, 0.5), ResourceLimitError, "resource-limit"),
+    (min_shots, (0.0, 2 ** 53 + 1, 0.5), ResourceLimitError, "resource-limit"),
 ])
 def test_bounds_refuse_promptly(bound, args, error, code):
     with _within_one_second(), pytest.raises(error) as err:
@@ -492,6 +496,7 @@ def test_bounds_answer_up_to_two_to_the_53():
         assert max_depth(0.5, 2 ** 53, 0.5) == 38
         # a signal that grows with the power needs one shot, however deep
         assert min_shots(-1.0, 1000, 0.5) == 1
+        assert min_shots(0.0, 2 ** 53, 0.5) == 1
     assert 2 ** 49 < shots < 2 ** 53 and 2 ** 47 < depth < 2 ** 53
     assert lowdepth._signal_detectable(1.0, 18, shots, 0.5)
     assert not lowdepth._signal_detectable(1.0, 18, shots - 1, 0.5)

@@ -21,7 +21,7 @@ from cascadeq import (
 from cascadeq import sim
 from cascadeq.qae import _draw_counts
 from cascadeq.sim import apply_gates
-from helpers import extract_unitary, mapped_bytes, random_model, traced_peak
+from helpers import deferred_order, extract_unitary, mapped_bytes, random_model, traced_peak
 
 
 def test_single_rotation_probability():
@@ -71,51 +71,94 @@ def test_resource_limit():
         extract_unitary(Circuit(11, ()))
 
 
+def _complex_run(circuit):
+    """``run`` of the circuit with a trailing zero-angle ``phase`` gate: the
+    same gates in the same deferred order on a complex128 state, since the
+    phase multiplies by exactly 1+0j."""
+    zero = Gate("phase", (0,), angle=0.0)
+    state = run(Circuit(circuit.n_qubits, circuit.gates + (zero,)))
+    assert state.dtype == np.complex128
+    return state
+
+
 def test_real_run_is_the_complex_runs_real_part():
     model = random_model(np.random.default_rng(5), 3)
     spec = GroverSpec.from_config("1*0", 4)
     for circuit in (build_model_circuit(model, 4), build_grover(model, 4, spec)):
-        full = np.zeros(1 << circuit.n_qubits, dtype=complex)
-        full[0] = 1.0
-        apply_gates(full, circuit.gates, circuit.n_qubits)
+        full = _complex_run(circuit)
         assert np.array_equal(run(circuit), full.real)
         assert not full.imag.any()
 
 
+def _record_kernel(monkeypatch):
+    """Patch the gate kernel to record (gate, amplitudes it acts on) per call."""
+    calls = []
+    kernel = sim._apply_gate
+
+    def recording(view, gate, n, scratch):
+        calls.append((gate, view.size))
+        return kernel(view, gate, n, scratch)
+
+    monkeypatch.setattr(sim, "_apply_gate", recording)
+    return calls
+
+
 def test_run_writes_the_initial_layer_as_apply_gates_would(monkeypatch):
-    reached = []
-
-    def counting(state, gates, n_qubits):
-        reached.append(len(gates))
-        return apply_gates(state, gates, n_qubits)
-
-    monkeypatch.setattr(sim, "apply_gates", counting)
-    # (gates, qubits, gates the product start writes): model circuits at 12
-    # and 16 qubits, one with a phase gate after it, and starts that break
-    # the pattern of gate j an uncontrolled ry on qubit j
-    model12, model16 = (build_model_circuit(random_model(np.random.default_rng(k), k), 4).gates
-                        for k in (3, 4))
+    calls = _record_kernel(monkeypatch)
+    # (gates, qubits, the deferred order as indices into gates, the gates the
+    # kernel applies as (index, live qubits)): a fresh qubit's uncontrolled ry
+    # waits until a gate touches that qubit or one above it, and is written
+    # by doubling; every other gate acts on the live prefix
     ry = tuple(Gate("ry", (q,), angle=0.3 + 0.2 * q) for q in range(5))
+    cx3 = Gate("x", (0,), ((3, 1),))
     cases = [
-        (model12, 12, 12),
-        (model16, 16, 16),
-        (model16 + (Gate("phase", (3,), angle=0.4),), 16, 16),
-        ((Gate("h", (0,)),) + ry, 5, 0),
-        ((Gate("ry", (0,), ((1, 0),), angle=0.7),) + ry, 5, 0),  # controlled
-        (ry[1:] + ry[:1], 5, 0),  # starts on qubit 1
-        (ry[::-1], 5, 0),  # descending
-        (ry[:1] + (Gate("ry", (0,), angle=1.1),) + ry[1:], 5, 1),  # repeated target
-        (ry[:2] + ry[3:] + ry[2:3], 5, 2),  # a gap at qubit 2
+        ((Gate("h", (0,)),) + ry, 5, range(6), [(0, 1), (1, 1)]),  # h first
+        ((Gate("ry", (0,), ((1, 0),), angle=0.7),) + ry, 5, range(6),
+         [(0, 2), (1, 2), (2, 2)]),  # controlled first
+        ((cx3,) + ry, 5, range(6), [(0, 4), (1, 4), (2, 4), (3, 4), (4, 4)]),  # control above
+        (ry[1:] + ry[:1], 5, [4, 0, 1, 2, 3], []),  # starts on qubit 1
+        (ry[::-1], 5, [4, 3, 2, 1, 0], []),  # descending
+        (ry[:1] + (Gate("ry", (0,), angle=1.1),) + ry[1:], 5, range(6), [(1, 1)]),  # repeated
+        (ry[:2] + ry[3:] + ry[2:3], 5, [0, 1, 4, 2, 3], []),  # a gap at qubit 2
+        (ry[:2] + (Gate("z", (3,)),) + ry[2:], 5, range(6),
+         [(2, 4), (3, 4), (4, 4)]),  # a diagonal gate above the touched qubits
     ]
-    for gates, n, written in cases:
+    # model circuits at 12 and 16 qubits, one with a phase gate after it: each
+    # initial ry waits for the first correction on its qubit, so the deferred
+    # order is the gates sorted by target, and a correction on qubit t acts on
+    # t + 1 qubits
+    for k in (3, 4):
+        gates = build_model_circuit(random_model(np.random.default_rng(k), k), 4).gates
+        order = sorted(range(len(gates)), key=lambda i: gates[i].targets)
+        kernel = [(i, gate.targets[0] + 1) for i, gate in enumerate(gates) if gate.controls]
+        cases.append((gates, 4 * k, order, kernel))
+    gates += (Gate("phase", (3,), angle=0.4),)
+    cases.append((gates, 16, order + [len(gates) - 1], kernel + [(len(gates) - 1, 16)]))
+    for gates, n, order, kernel in cases:
+        deferred = [gates[i] for i in order]
+        assert deferred == deferred_order(gates)
         want = sim._zeros(1 << n, complex if sim._has_phase(gates) else float)
         want[0] = 1.0
-        apply_gates(want, gates, n)
-        reached.clear()
+        apply_gates(want, deferred, n)
+        calls.clear()
         got = run(Circuit(n, gates))
-        assert reached == [len(gates) - written]
+        assert calls == [(gates[i], 1 << live) for i, live in kernel], n
         assert got.dtype == want.dtype
-        assert np.array_equal(got, want), (n, written)
+        assert np.array_equal(got, want), n
+
+
+def test_register_one_gates_act_on_the_live_prefix(monkeypatch):
+    # k = 4, T = 5: the gates of transition 1 -> 2, controlled on register 1
+    # (qubits 0..3) and targeting register 2, touch no qubit above 7
+    circuit = build_model_circuit(random_model(np.random.default_rng(4), 4), 5)
+    want = run(circuit)
+    calls = _record_kernel(monkeypatch)
+    got = run(circuit)
+    assert np.array_equal(got, want)
+    first = [size for gate, size in calls if all(q < 4 for q, _ in gate.controls)]
+    assert len(first) == sum(1 for g in circuit.gates if g.controls and g.targets[0] < 8) > 0
+    assert max(first) <= 1 << 8
+    assert len(calls) == sum(1 for g in circuit.gates if g.controls)
 
 
 @pytest.mark.parametrize("k, horizon", [(2, 7), (3, 5), (4, 4)])
@@ -162,9 +205,7 @@ def test_blocked_real_run_is_the_complex_runs_real_part(monkeypatch):
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 4)
     real, grover, _ = _model_grover_and_complex(3, 4)
     for circuit in (real, grover):
-        full = sim._zeros(1 << circuit.n_qubits, complex)
-        full[0] = 1.0
-        apply_gates(full, circuit.gates, circuit.n_qubits)
+        full = _complex_run(circuit)
         assert np.array_equal(run(circuit), full.real)
         assert not full.imag.any()
 
