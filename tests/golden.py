@@ -44,6 +44,7 @@ CALLS = [
     ("circuit-model", ["circuit", *_TWO]),
     ("circuit-grover", ["circuit", *_TWO, "--kind", "grover", "--config", "1*"]),
     ("circuit-qae", ["circuit", *_TWO, "--kind", "qae", "--config", "11", "--bits", "4"]),
+    ("circuit-qae-9", ["circuit", *_TWO, "--kind", "qae", "--config", "1*", "--bits", "9"]),
     *[(f"qae-{pattern}", ["qae", *_TWO, "--config", pattern, "--bits", "3..9",
                           "--shots", "2000", "--seed", "17"]) for pattern in _PATTERNS],
     *[(f"eigenphase-{pattern}", ["qae", *_TWO, "--config", pattern, "--eigenphase"])
