@@ -23,6 +23,7 @@ x-conjugated multi-controlled z.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -51,10 +52,10 @@ __all__ = [
 _GATE_PEAK = 2800
 """Peak bytes of a builder per gate it returns. Tracemalloc: 1,483-2,632 on
 model circuits at T=2 whose nodes have 8-17 trigger ancestors, and 2,772 at
-18 ancestors, the most the byte budget admits at this factor; 17-23 on
+18 ancestors, the most the byte budget admits at this factor; 13-17 on
 phase-estimation circuits of 9-13 bits, whose repeated Grover blocks share
-their gate objects (171-175 with the ``circuit`` verb's emitted listing and
-report, 120-127 with ``--gates-out``)."""
+their gate objects (65-74 with :func:`emit_gates`, 170-185 with the
+``circuit`` verb's emitted listing and report, 120-125 with ``--gates-out``)."""
 
 _KINDS_WITH_ANGLE = {"ry", "phase"}
 _KINDS = {"ry", "x", "z", "h", "phase", "s0", "mark"}
@@ -99,7 +100,12 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on ``n_qubits`` qubits plus the (node, step) layout."""
+    """Ordered gate list on ``n_qubits`` qubits plus the (node, step) layout.
+
+    ``gates`` is flat. A circuit also keeps it as (block, count) pairs, each
+    block a gate tuple repeated ``count`` times, so that work done per gate
+    object is done once per block; a circuit built from ``gates`` alone is
+    one block with count 1."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -111,6 +117,8 @@ class Circuit:
             raise ValidationError("circuit needs at least one qubit", code="invalid-circuit")
         # a tuple, so that a caller's list cannot change under distinct_gates
         object.__setattr__(self, "gates", tuple(self.gates))
+        if "_blocks" not in self.__dict__:
+            object.__setattr__(self, "_blocks", ((self.gates, 1),))
         for gate in self.distinct_gates:
             if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
                 raise ValidationError(
@@ -128,7 +136,18 @@ class Circuit:
         Objects are told apart by identity, not by value: the builders share
         one object across repeated Grover blocks, and equal gates need not
         print alike (angles 0.0 and -0.0 compare equal)."""
-        return tuple({id(g): g for g in self.gates}.values())
+        return tuple({id(g): g for block, _ in self._blocks for g in block}.values())
+
+    @classmethod
+    def _repeated(cls, n_qubits: int, blocks, layout, ancillas) -> "Circuit":
+        """The circuit of ``blocks``, (gates, count) pairs in order. Each block's
+        gate objects are kept for the circuit's lifetime."""
+        self = cls.__new__(cls)
+        blocks = tuple((tuple(block), count) for block, count in blocks)
+        object.__setattr__(self, "_blocks", blocks)
+        gates = tuple(itertools.chain.from_iterable(block * count for block, count in blocks))
+        self.__init__(n_qubits, gates, layout, ancillas)
+        return self
 
     def qubit(self, node: int, step: int) -> int:
         try:
@@ -352,7 +371,9 @@ def build_qae_circuit(model: NetworkModel, horizon: int, spec: GroverSpec,
     Ancilla j controls 2^j applications of the Grover operator; the inverse
     Fourier transform then makes outcome y decode as theta = 2*pi*y/2^bits.
     Its 2^bits - 1 Grover blocks are counted, and an oversized circuit is
-    refused, before any gate is built.
+    refused, before any gate is built. Each ancilla's controlled Grover
+    block is built once and recorded as one block repeated 2^j times, so
+    its 2^j references share their gate objects.
     """
     if bits < 1:
         raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
@@ -367,14 +388,10 @@ def build_qae_circuit(model: NetworkModel, horizon: int, spec: GroverSpec,
     base = build_model_circuit(model, horizon)
     grover = build_grover(model, horizon, spec)
     ancillas = tuple(range(base.n_qubits, base.n_qubits + bits))
-    gates: list[Gate] = [Gate("h", (a,)) for a in ancillas]
-    gates += list(base.gates)
-    for j, ancilla in enumerate(ancillas):
-        block = controlled_gates(grover.gates, ancilla)
-        for _ in range(1 << j):
-            gates += block
-    gates += inverse_qft_gates(list(ancillas))
-    return Circuit(base.n_qubits + bits, tuple(gates), base.layout, ancillas)
+    blocks = [([Gate("h", (a,)) for a in ancillas], 1), (base.gates, 1)]
+    blocks += [(controlled_gates(grover.gates, a), 1 << j) for j, a in enumerate(ancillas)]
+    blocks.append((inverse_qft_gates(list(ancillas)), 1))
+    return Circuit._repeated(base.n_qubits + bits, blocks, base.layout, ancillas)
 
 
 # --- textual gate format -------------------------------------------------------
@@ -419,11 +436,16 @@ def _lower(gate: Gate) -> list[Gate]:
 def emit_gates(circuit: Circuit) -> str:
     """One line per gate; s0/mark appear as their controlled-z lowerings.
 
-    Each distinct gate object is formatted once and its text reused for
-    every reference to it."""
+    Each distinct gate object is formatted once, and each block's text is
+    joined once and repeated, so a controlled Grover block of the
+    phase-estimation circuit is written once and copied 2^j times."""
     text: dict[int, str] = {id(gate): "".join(_emit_line(g) + "\n" for g in _lower(gate))
                             for gate in circuit.distinct_gates}
-    return "".join([text[id(gate)] for gate in circuit.gates])
+    parts: list[str] = []
+    for block, count in circuit._blocks:
+        # count references to one string: the listing is copied once, by the join
+        parts += ["".join([text[id(gate)] for gate in block])] * count
+    return "".join(parts)
 
 
 _LINE_RE = re.compile(

@@ -170,8 +170,8 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
         raise ValidationError("schedule powers must be distinct and >= 0",
                               code="invalid-schedule")
     if max(per_shots) > _MAX_SHOTS:
-        raise ResourceLimitError(f"{max(per_shots)} shots exceed 2^53, the most a trace's "
-                                 "float counts hold exactly")
+        raise ResourceLimitError("a shot count exceeds 2^53, the most a trace's float counts "
+                                 "hold exactly")
     epsilon = noise.per_grover_error if noise is not None else 0.0
     seeds = seed_tuple(seed)
     p, _ = _plane(model, horizon, spec, qubit_cap)
@@ -481,7 +481,7 @@ def max_depth(a: float, shots: int, f: float) -> int:
     if shots < 1:
         raise ValidationError("shots must be >= 1", code="invalid-shots")
     if shots > _MAX_SHOTS:
-        raise ResourceLimitError(f"{shots} shots exceed 2^53")
+        raise ResourceLimitError("the shot count exceeds 2^53")
     if _signal_detectable(a, _MAX_SHOTS + 1, shots, f):
         raise ResourceLimitError(f"the signal at rate a = {a!r} outlasts power 2^53")
     # the closed form, then +-1 steps to the exact integer

@@ -147,8 +147,8 @@ def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots
         if shots < 1:
             raise ValidationError("shots must be >= 1", code="invalid-shots")
         if shots >= 1 << 63:
-            raise ResourceLimitError(f"{shots} shots exceed the 2^63 - 1 that an int64 "
-                                     "draw count holds")
+            raise ResourceLimitError("the shot count exceeds the 2^63 - 1 that an int64 draw "
+                                     "count holds")
     p, residual = _plane(model, horizon, spec, qubit_cap)
     angle = _half_angle(p)
     results = []

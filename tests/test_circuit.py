@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -17,8 +18,9 @@ from cascadeq import (
     emit_gates,
     parse_gates,
 )
-from cascadeq.circuit import _emit_line, controlled_gates, inverse_gates, inverse_qft_gates
-from helpers import extract_unitary, plain_emit
+from cascadeq.circuit import (_GATE_PEAK, _emit_line, _lower, controlled_gates, inverse_gates,
+                              inverse_qft_gates)
+from helpers import extract_unitary, plain_emit, traced_peak
 
 # node 1 never fails on its own, so its init rotation has angle 0.0 and the
 # inverse the Grover operator takes of it has -0.0: equal gates, unequal text
@@ -199,12 +201,52 @@ def test_emit_empty_circuit():
 
 @pytest.mark.parametrize("which", ["two_node", "signed_zero"])
 def test_emit_matches_a_plain_per_gate_emit(which, two_node):
+    # a phase-estimation circuit holds each controlled Grover block once,
+    # repeated; its flat gate list, distinct gates and listing must read as
+    # if every reference were its own entry
     model = two_node if which == "two_node" else SIGNED_ZERO
-    spec = GroverSpec.from_config("11", 3)
-    circuits = [build_model_circuit(model, 3), build_grover(model, 3, spec)]
-    circuits += [build_qae_circuit(model, 3, spec, bits) for bits in range(1, 6)]
+    circuits = [build_model_circuit(model, 3)]
+    for pattern in ("11", "1*", "*0"):
+        spec = GroverSpec.from_config(pattern, 3)
+        circuits.append(build_grover(model, 3, spec))
+        circuits += [build_qae_circuit(model, 3, spec, bits) for bits in range(1, 10)]
     for circuit in circuits:
-        assert emit_gates(circuit) == plain_emit(circuit)
+        assert type(circuit.gates) is tuple
+        assert all(type(g) is Gate for g in circuit.gates)
+        # the same objects, in first-use order
+        assert circuit.distinct_gates == tuple({id(g): g for g in circuit.gates}.values())
+        assert list(map(id, circuit.distinct_gates)) == list({id(g): 0 for g in circuit.gates})
+        text = emit_gates(circuit)
+        assert text == plain_emit(circuit)
+        if len(circuit.ancillas) == 9:  # parsing is slow; the largest circuits cover the rest
+            lowered = [g for gate in circuit.gates for g in _lower(gate)]
+            assert len(parse_gates(text).gates) == len(lowered)
+
+
+def test_emit_stays_right_when_freed_gate_ids_are_reused(two_node):
+    # each circuit's gates die with it, and CPython hands their ids to the
+    # next circuit's gates: a listing keyed on ids that outlived its gates
+    # would read another circuit's text
+    gc.freeze()  # so that each collection scans only this test's objects
+    try:
+        for i in range(50):
+            spec = GroverSpec.from_config(["11", "1*", "*0", "01"][i % 4], 3)
+            circuit = build_qae_circuit(SIGNED_ZERO if i % 2 else two_node, 3, spec, 1 + i % 5)
+            assert emit_gates(circuit) == plain_emit(circuit)
+            del circuit
+            gc.collect()
+    finally:
+        gc.unfreeze()
+
+
+def test_phase_estimation_build_and_emit_stay_within_the_gate_peak(two_node):
+    # the byte budget charges _GATE_PEAK per gate reference; a repeated
+    # reference costs a tuple slot and its share of the listing
+    spec = GroverSpec.from_config("11", 3)
+    for bits in (9, 10, 11):
+        references = len(build_qae_circuit(two_node, 3, spec, bits).gates)
+        peak = traced_peak(lambda: emit_gates(build_qae_circuit(two_node, 3, spec, bits)))
+        assert peak <= _GATE_PEAK * references
 
 
 def test_signed_zero_model_holds_equal_gates_that_print_apart():

@@ -136,6 +136,15 @@ def test_run_schedule_counts_2_to_the_53_shots_exactly():
         run_schedule(model, 1, spec, [0, 1], [3, shots + 1])
 
 
+def test_run_schedule_refuses_a_shot_count_of_5000_digits(two_node):
+    # the refusal must not format the count, which has more digits than
+    # Python converts to a decimal string
+    spec = GroverSpec.from_config("11", 3)
+    for shots in (10 ** 5000, [3, 10 ** 5000]):
+        with pytest.raises(ResourceLimitError):
+            run_schedule(two_node, 3, spec, [0, 1], shots)
+
+
 def test_run_schedule_validation(one_node):
     spec = GroverSpec.from_config("1", 1)
     with pytest.raises(ValidationError):
@@ -482,6 +491,8 @@ def _within_one_second():
     (min_shots, (1.0, 10 ** 400, 0.5), ResourceLimitError, "resource-limit"),
     (min_shots, (0.0, 10 ** 400, 0.5), ResourceLimitError, "resource-limit"),
     (min_shots, (0.0, 2 ** 53 + 1, 0.5), ResourceLimitError, "resource-limit"),
+    # a shot count of more digits than Python converts to a decimal string
+    (max_depth, (0.5, 10 ** 5000, 0.5), ResourceLimitError, "resource-limit"),
 ])
 def test_bounds_refuse_promptly(bound, args, error, code):
     with _within_one_second(), pytest.raises(error) as err:

@@ -8,6 +8,7 @@ from cascadeq import (
     DegenerateSubspaceError,
     GroverSpec,
     NetworkModel,
+    ResourceLimitError,
     ValidationError,
     build_qae_circuit,
     decode_outcome,
@@ -91,6 +92,15 @@ def test_qae_sweep_draws_each_bit_count_as_its_own_run(two_node):
     sweep = qae._qae_sweep(two_node, 3, spec, pairs, 1000, qubit_cap=20)
     assert sweep == [run_standard_qae(two_node, 3, spec, bits, 1000, seed)
                      for bits, seed in pairs]
+
+
+def test_qae_sweep_refuses_a_shot_count_of_5000_digits(two_node):
+    # past an int64, and past the digits Python converts to a decimal string
+    spec = GroverSpec.from_config("11", 3)
+    with pytest.raises(ResourceLimitError):
+        qae._qae_sweep(two_node, 3, spec, [(3, 1)], 10 ** 5000, qubit_cap=20)
+    with pytest.raises(ResourceLimitError):
+        run_standard_qae(two_node, 3, spec, 3, 10 ** 5000, 1)
 
 
 @pytest.mark.parametrize("spec", [GroverSpec(3, ((5, 0),)), GroverSpec(4, ((1, 1),))],
