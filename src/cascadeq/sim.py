@@ -145,8 +145,18 @@ def _apply_gate(view: np.ndarray, gate: Gate, n: int, scratch: _Scratch) -> None
     # every target is 0, mark (no target) wherever its controls hold
     for q in gate.targets:
         sel[_axis(n, q)] = 0 if gate.kind == "s0" else 1
-    view[tuple(sel)] *= (complex(math.cos(gate.angle), math.sin(gate.angle))
-                         if gate.kind == "phase" else -1.0)
+    part = view[(*sel, ...)]
+    factor = complex(math.cos(gate.angle), math.sin(gate.angle)) if gate.kind == "phase" else -1.0
+    if gate.kind == "phase" and part.size == 1:
+        # numpy rounds a one-element complex product otherwise than its array
+        # loop does, so one amplitude goes through a two-element row: a phase
+        # then rounds alike on the live prefix of run and on the whole state
+        pair = scratch.rows[0, :2]
+        pair[...] = part
+        pair *= factor
+        part[...] = pair[0]
+    else:
+        part *= factor
 
 
 def _block_qubits(n: int) -> int:
