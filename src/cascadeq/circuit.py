@@ -142,12 +142,12 @@ class Circuit:
     def _repeated(cls, n_qubits: int, blocks, layout, ancillas) -> "Circuit":
         """The circuit of ``blocks``, (gates, count) pairs in order. Each block's
         gate objects are kept for the circuit's lifetime."""
-        self = cls.__new__(cls)
+        circuit = cls.__new__(cls)
         blocks = tuple((tuple(block), count) for block, count in blocks)
-        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(circuit, "_blocks", blocks)
         gates = tuple(itertools.chain.from_iterable(block * count for block, count in blocks))
-        self.__init__(n_qubits, gates, layout, ancillas)
-        return self
+        circuit.__init__(n_qubits, gates, layout, ancillas)
+        return circuit
 
     def qubit(self, node: int, step: int) -> int:
         try:
