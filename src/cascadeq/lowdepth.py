@@ -8,8 +8,10 @@ binomial of this mean, with ``f = 2^-m`` for m marked nodes. Fits minimize
 the sum of squared residuals on count fractions. The loss is first evaluated
 on a (theta, a) grid with ``f`` profiled out in closed form (variable
 projection), and a batched, box-projected Levenberg-Marquardt solver
-(analytic Jacobian) refines the grid's best points: the best angle of each
-grid rate for the damped model, the four best angles for the sine fit.
+(analytic Jacobian) refines the grid's best points: for the damped model
+the best angle of each grid rate at or above zero and of the one negative
+rate whose best angle has the lowest loss, the four best angles for the
+sine fit.
 ``f`` is kept in [0, 1], and ``a`` at or above -1 (or -100 / max l, for
 schedules reaching past power 100) so ``e^{-a l}`` cannot overflow. Angles
 follow the eigenphase convention ``p = sin^2(theta/2)``; ``theta`` and
@@ -108,7 +110,7 @@ class FitResult:
 
     The parameters are those of the start with the lowest loss among
     ``n_starts`` starts, the grid points the solver refined (4 for the sine
-    fit, 12 for the damped model). Every start within the solver's relative
+    fit, 10 for the damped model). Every start within the solver's relative
     tolerance of that loss reached the same optimum; ``iterations`` counts
     the solver iterations of the first of them to settle there, a converged
     one if any did, and ``converged`` is false when none settled before the
@@ -412,10 +414,12 @@ def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResu
     """Fit (theta, a, f) of the damped response; ``fix_f`` pins the scramble level.
 
     The solver starts from the best angle, and its profiled f, of each rate
-    on the profiled grid: 12 starts. ``f`` is clamped to [0, 1]; ``a`` may
-    go negative (slightly negative rates do occur on real data) down to -1,
-    or -100 / max power for schedules past power 100, and predictions are
-    not clamped.
+    >= 0 on the profiled grid, and of the one negative rate whose best angle
+    has the lowest loss: 10 starts. Negative-rate starts run the longest and
+    mostly end far above the best loss, but a growing amplitude needs one.
+    ``f`` is clamped to [0, 1]; ``a`` may go negative (slightly negative
+    rates do occur on real data) down to -1, or -100 / max power for
+    schedules past power 100, and predictions are not clamped.
     """
     if fix_f is not None and not 0.0 <= fix_f <= 1.0:
         raise ValidationError(f"fix_f = {fix_f!r} outside [0, 1]", code="out-of-range")
@@ -425,8 +429,11 @@ def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResu
     rates = np.array([lo, lo / 4.0, lo / 16.0, *_RATES])
     thetas, losses, fs = _profiled_grid(fractions, ells, rates, fix_f)
     best = np.argmin(losses, axis=0)
+    # rates lo, lo/4 and lo/16 are negative: keep the one with the lowest cell
     columns = np.arange(len(rates))
-    starts = np.stack([thetas[best], rates, fs[best, columns]], axis=-1)
+    columns = np.r_[np.argmin(losses[best[:3], columns[:3]]), columns[3:]]
+    best = best[columns]
+    starts = np.stack([thetas[best], rates[columns], fs[best, columns]], axis=-1)
     return _fit(fractions, ells, starts, free_f=fix_f is None, sine_only=False)
 
 

@@ -295,8 +295,8 @@ def test_gradient_matches_finite_differences():
 def test_fixture_fits_converge(fixtures_dir):
     for path in sorted(fixtures_dir.glob("trace_*.csv")):
         trace = trace_from_text(path.read_text())
-        fits = [(fit_sine(trace), 4), (fit_noise_model(trace), 12),
-                (fit_noise_model(trace, fix_f=0.5), 12)]
+        fits = [(fit_sine(trace), 4), (fit_noise_model(trace), 10),
+                (fit_noise_model(trace, fix_f=0.5), 10)]
         for fit, n_starts in fits:
             assert fit.converged, path.name
             assert 0 < fit.iterations <= lowdepth._MAX_ITERS
@@ -389,6 +389,56 @@ def test_profiled_grid_fits_are_no_worse_than_the_multi_start_oracle(fixtures_di
             new, old = fit(trace), _oracle_fit(trace, kind)
             if new.loss > old.loss * (1.0 + 1e-9):
                 worse.append(f"trace {i} {kind}: loss {new.loss!r} > oracle {old.loss!r}")
+    assert not worse, "\n".join(worse)
+
+
+def _per_rate_fit(trace, fix_f):
+    """The damped fit from one start per grid rate, the best angle of each of
+    the 12, before it dropped all but one negative rate. Returns the fit, its
+    starts and each rate's lowest grid loss."""
+    ells = np.asarray(trace.schedule, dtype=float)
+    fractions = np.asarray(trace.fractions)
+    lo = lowdepth._min_rate(ells)
+    rates = np.array([lo, lo / 4.0, lo / 16.0, *lowdepth._RATES])
+    thetas, losses, fs = lowdepth._profiled_grid(fractions, ells, rates, fix_f)
+    best, columns = np.argmin(losses, axis=0), np.arange(len(rates))
+    starts = np.stack([thetas[best], rates, fs[best, columns]], axis=-1)
+    fit = _fit(fractions, ells, starts, free_f=fix_f is None, sine_only=False)
+    return fit, starts, losses[best, columns]
+
+
+def test_damped_fit_is_no_worse_than_one_start_per_rate(fixtures_dir, monkeypatch):
+    traces = [read_trace(fixtures_dir, path.name)
+              for path in sorted(fixtures_dir.glob("trace_*.csv"))]
+    traces += _growing_traces()
+    rng = np.random.default_rng(24)
+    powers = np.array([1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32])
+    for dense in [True, False] * 15:
+        ells = (np.arange(int(rng.integers(4, 21)) + 1) if dense else
+                np.r_[0, np.sort(rng.choice(powers, int(rng.integers(3, 9)), replace=False))])
+        expected = predict(rng.uniform(0.2, 2.9), ells, rng.uniform(0.0, 0.5),
+                           rng.uniform(0.2, 0.8))
+        traces.append(LowDepthTrace(tuple(ells), (500,) * len(ells),
+                                    tuple(rng.binomial(500, expected))))
+    calls = []
+
+    def recorded(residuals, starts, *args):
+        calls.append(starts)
+        return _levenberg_marquardt(residuals, starts, *args)
+
+    monkeypatch.setattr(lowdepth, "_levenberg_marquardt", recorded)
+    worse = []
+    for i, trace in enumerate(traces):
+        for fix_f in (None, 0.5):
+            calls.clear()
+            new = fit_noise_model(trace, fix_f)
+            (starts,) = calls
+            old, old_starts, grid_losses = _per_rate_fit(trace, fix_f)
+            # the kept negative-rate start is the one whose grid cell is lowest
+            kept = old_starts[np.argmin(grid_losses[:3])]
+            assert np.array_equal(starts, np.vstack([kept, old_starts[3:]]))
+            if new.loss > old.loss * (1.0 + 1e-9):
+                worse.append(f"trace {i} f={fix_f}: loss {new.loss!r} > {old.loss!r}")
     assert not worse, "\n".join(worse)
 
 
