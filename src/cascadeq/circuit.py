@@ -327,6 +327,12 @@ def _global_minus(qubit: int) -> list[Gate]:
 def build_grover(model: NetworkModel, horizon: int, spec: GroverSpec) -> Circuit:
     """Grover operator for the marked event: -(model) s0 (model)^dagger s_chi."""
     base = build_model_circuit(model, horizon)
+    return Circuit(base.n_qubits, tuple(_grover_gates(model, horizon, spec, base)), base.layout)
+
+
+def _grover_gates(model: NetworkModel, horizon: int, spec: GroverSpec,
+                  base: Circuit) -> list[Gate]:
+    """The Grover operator's gates around ``base``, the built model circuit."""
     if spec.target_step > horizon:
         raise ValidationError(
             f"target step {spec.target_step} beyond horizon {horizon}", code="invalid-horizon")
@@ -341,7 +347,7 @@ def build_grover(model: NetworkModel, horizon: int, spec: GroverSpec) -> Circuit
     gates.append(Gate("s0", tuple(range(base.n_qubits))))
     gates += list(base.gates)
     gates += _global_minus(0)
-    return Circuit(base.n_qubits, tuple(gates), base.layout)
+    return gates
 
 
 def inverse_qft_gates(qubits: Sequence[int]) -> list[Gate]:
@@ -386,10 +392,10 @@ def build_qae_circuit(model: NetworkModel, horizon: int, spec: GroverSpec,
     _check_gate_count(bits + model_gates + ((1 << bits) - 1) * grover_gates + qft_gates,
                       "the phase-estimation circuit")
     base = build_model_circuit(model, horizon)
-    grover = build_grover(model, horizon, spec)
+    grover = _grover_gates(model, horizon, spec, base)
     ancillas = tuple(range(base.n_qubits, base.n_qubits + bits))
     blocks = [([Gate("h", (a,)) for a in ancillas], 1), (base.gates, 1)]
-    blocks += [(controlled_gates(grover.gates, a), 1 << j) for j, a in enumerate(ancillas)]
+    blocks += [(controlled_gates(grover, a), 1 << j) for j, a in enumerate(ancillas)]
     blocks.append((inverse_qft_gates(list(ancillas)), 1))
     return Circuit._repeated(base.n_qubits + bits, blocks, base.layout, ancillas)
 
