@@ -12,7 +12,9 @@ say in CHANGES.md which fields moved, by how much and why:
 
     PYTHONPATH=src python tests/golden.py
 
-Tolerances already in the corpus are carried over to the new one.
+Tolerances already in the corpus are carried over to the new one, and so is
+every recorded float that the new run matches within its tolerance: only
+values that moved past their tolerance, or have none, are rewritten.
 """
 from __future__ import annotations
 
@@ -135,16 +137,33 @@ def mismatches(want, got, tolerances: dict, path: str = "") -> list[str]:
     return [] if got == want else [f"{where}: {got!r}, the corpus has {want!r}"]
 
 
+def carried(old, new, tolerances: dict, path: str = ""):
+    """``new`` with every value that matches ``old`` (as :func:`mismatches`
+    judges it) replaced by ``old``'s, so that a float that moved within its
+    tolerance keeps its recorded value."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return {key: carried(old[key], new[key], tolerances, f"{path}.{key}".lstrip("."))
+                for key in new}
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [carried(o, n, tolerances, f"{path}.{i}".lstrip("."))
+                for i, (o, n) in enumerate(zip(old, new))]
+    return new if mismatches(old, new, tolerances, path) else old
+
+
 def load() -> dict:
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
 def regenerate(out_dir: pathlib.Path) -> dict:
-    """A new corpus from the current source, keeping the old one's tolerances."""
+    """A new corpus from the current source, keeping the old one's tolerances
+    and every recorded value the new run still matches."""
     old = load()["calls"] if CORPUS.exists() else {}
     calls = run_all(out_dir)
     for name, entry in calls.items():
-        tolerances = old.get(name, {}).get("tolerances")
+        before = old.get(name, {})
+        tolerances = before.get("tolerances", {})
+        for key in entry.keys() & before.keys():
+            entry[key] = carried(before[key], entry[key], tolerances, key)
         if tolerances:
             entry["tolerances"] = tolerances
     return {"numpy": np.__version__, "calls": calls}

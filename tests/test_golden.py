@@ -32,3 +32,17 @@ def test_corpus_floats_match_exactly_unless_a_tolerance_names_them():
     assert golden.mismatches({"bits": 3}, {"bits": 3.0}, {}) != []
     assert golden.mismatches({"a": 1}, {"b": 1}, {}) != []
     assert golden.mismatches([1, 2], [1], {}) != []
+
+
+def test_regenerating_keeps_recorded_floats_within_their_tolerance():
+    tolerances = {"results.sweep.*.theta": {"abs": 1e-12}}
+    old = {"results": {"sweep": [{"theta": 0.5, "p": 0.25}, {"theta": 1.0, "p": 0.5}]}}
+    new = {"results": {"sweep": [{"theta": 0.5 + 1e-15, "p": 0.25 + 1e-15},
+                                 {"theta": 1.1, "p": 0.5}]}}
+    # theta within its tolerance keeps the recorded value; an untolerated
+    # float that moved, or one past its tolerance, takes the new one
+    assert golden.carried(old, new, tolerances) == {"results": {"sweep": [
+        {"theta": 0.5, "p": 0.25 + 1e-15}, {"theta": 1.1, "p": 0.5}]}}
+    # a changed shape is taken whole
+    grown = {"results": {"sweep": [{"theta": 0.5 + 1e-15, "p": 0.25}]}}
+    assert golden.carried(old, grown, tolerances) == grown
