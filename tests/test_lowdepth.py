@@ -411,6 +411,8 @@ def test_damped_fit_is_no_worse_than_one_start_per_rate(fixtures_dir, monkeypatc
     traces = [read_trace(fixtures_dir, path.name)
               for path in sorted(fixtures_dir.glob("trace_*.csv"))]
     traces += _growing_traces()
+    # not a guarantee: on random schedules of four or five powers about one
+    # fit in 100 misses a lower a < 0 optimum that a dropped start reaches
     rng = np.random.default_rng(24)
     powers = np.array([1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32])
     for dense in [True, False] * 15:
