@@ -8,10 +8,8 @@ binomial of this mean, with ``f = 2^-m`` for m marked nodes. Fits minimize
 the sum of squared residuals on count fractions. The loss is first evaluated
 on a (theta, a) grid with ``f`` profiled out in closed form (variable
 projection), and a batched, box-projected Levenberg-Marquardt solver
-(analytic Jacobian) refines the grid's best points: for the damped model
-the best angle of each grid rate at or above zero and of the one negative
-rate whose best angle has the lowest loss, the four best angles for the
-sine fit.
+(analytic Jacobian) refines the grid's best points: the best angle of each
+grid rate for the damped model, the four best angles for the sine fit.
 ``f`` is kept in [0, 1], and ``a`` at or above -1 (or -100 / max l, for
 schedules reaching past power 100) so ``e^{-a l}`` cannot overflow. Angles
 follow the eigenphase convention ``p = sin^2(theta/2)``; ``theta`` and
@@ -110,7 +108,7 @@ class FitResult:
 
     The parameters are those of the start with the lowest loss among
     ``n_starts`` starts, the grid points the solver refined (4 for the sine
-    fit, 10 for the damped model). Every start within the solver's relative
+    fit, 12 for the damped model). Every start within the solver's relative
     tolerance of that loss reached the same optimum; ``iterations`` counts
     the solver iterations of the first of them to settle there, a converged
     one if any did, and ``converged`` is false when none settled before the
@@ -221,18 +219,31 @@ def _residuals(fractions: np.ndarray, ells: np.ndarray, sine_only: bool, free_f:
     moves.
     """
     odd = 2.0 * ells + 1.0
+    half_odd, neg_ells = odd / 2.0, -ells
 
     def residuals(params):
         theta = params[:, 0:1]
-        signal = np.sin(odd * theta / 2.0) ** 2
-        dsignal = (odd / 2.0) * np.sin(odd * theta)
+        phase = odd * theta
+        signal = np.sin(phase / 2.0)
+        signal *= signal
+        dsignal = np.sin(phase, out=phase)
+        dsignal *= half_odd
         if sine_only:
             return signal - fractions, dsignal[:, :, None]
         a, f = params[:, 1:2], params[:, 2:3]
         decay = np.exp(-a * ells)
-        df = 1.0 - decay if free_f else np.zeros_like(decay)
-        jac = np.stack([decay * dsignal, -ells * decay * (signal - f), df], axis=-1)
-        return decay * (signal - f) + f - fractions, jac
+        shifted = signal - f
+        jac = np.empty(decay.shape + (3,))
+        np.multiply(decay, dsignal, out=jac[..., 0])
+        np.multiply(neg_ells * decay, shifted, out=jac[..., 1])
+        if free_f:
+            np.subtract(1.0, decay, out=jac[..., 2])
+        else:
+            jac[..., 2] = 0.0
+        shifted *= decay
+        shifted += f
+        shifted -= fractions
+        return shifted, jac
 
     return residuals
 
@@ -265,41 +276,55 @@ def _levenberg_marquardt(residuals, starts: np.ndarray, lower: np.ndarray, upper
     lambda exceeds 1e12 (no step of any length helps). Returns the
     parameters, the losses, the iterations each start ran, and which starts
     were still live when ``max_iters`` ran out.
+
+    The live starts are kept packed, in their original order, so an
+    iteration works on them without gathering by index; a start's final
+    state is written out once, when it stops.
     """
     params = starts.astype(float)
     res, jac = residuals(params)
     losses = (res * res).sum(axis=1)
-    damping = np.full(len(params), 1e-3)
     live = np.isfinite(losses)
-    eye = np.eye(params.shape[1])
     iterations = np.zeros(len(params), dtype=int)
-    for _ in range(max_iters):
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
+    rows = np.flatnonzero(live)
+    p, r, j, loss = params[rows], res[rows], jac[rows], losses[rows]
+    damping = np.full(len(rows), 1e-3)
+    eye = np.eye(params.shape[1])
+    floor = tol * tol * res.shape[1]
+    for count in range(1, max_iters + 1):
+        if rows.size == 0:
             break
-        iterations[idx] += 1
-        jtr = np.einsum("spi,sp->si", jac[idx], res[idx])
+        jtr = np.einsum("spi,sp->si", j, r)
         # a parameter on its bound whose descent direction points outward is
         # held there, so the step solves for the free parameters only
-        pinned = (((params[idx] <= lower) & (jtr > 0.0))
-                  | ((params[idx] >= upper) & (jtr < 0.0)))
-        j = np.where(pinned[:, None, :], 0.0, jac[idx])
-        jtr[pinned] = 0.0
-        jtj = np.einsum("spi,spj->sij", j, j) + damping[idx, None, None] * eye
-        step = _solve_each(jtj, -jtr)
-        cand = np.clip(params[idx] + step, lower, upper)
+        pinned = ((p <= lower) & (jtr > 0.0)) | ((p >= upper) & (jtr < 0.0))
+        free_j = j
+        if pinned.any():
+            free_j = np.where(pinned[:, None, :], 0.0, j)
+            jtr[pinned] = 0.0
+        jtj = np.einsum("spi,spj->sij", free_j, free_j)
+        jtj += damping[:, None, None] * eye
+        cand = _solve_each(jtj, -jtr)
+        cand += p
+        np.minimum(np.maximum(cand, lower, out=cand), upper, out=cand)
         cand_res, cand_jac = residuals(cand)
         cand_loss = (cand_res * cand_res).sum(axis=1)
-        better = cand_loss < losses[idx]
-        took = idx[better]
-        settled = ((losses[took] - cand_loss[better] <= tol * losses[took])
-                   | (cand_loss[better] <= tol * tol * res.shape[1]))
-        params[took], res[took], jac[took] = cand[better], cand_res[better], cand_jac[better]
-        losses[took] = cand_loss[better]
-        damping[took] /= 3.0
-        damping[idx[~better]] *= 4.0
-        live[took[settled]] = False
-        live &= damping <= 1e12
+        better = cand_loss < loss
+        stop = better & ((loss - cand_loss <= tol * loss) | (cand_loss <= floor))
+        np.copyto(p, cand, where=better[:, None])
+        np.copyto(r, cand_res, where=better[:, None])
+        np.copyto(j, cand_jac, where=better[:, None, None])
+        np.copyto(loss, cand_loss, where=better)
+        damping = np.where(better, damping / 3.0, damping * 4.0)
+        stop |= damping > 1e12
+        if stop.any():
+            done = rows[stop]
+            params[done], losses[done], iterations[done] = p[stop], loss[stop], count
+            live[done] = False
+            keep = ~stop
+            rows, p, r, j, loss, damping = (rows[keep], p[keep], r[keep], j[keep], loss[keep],
+                                            damping[keep])
+    params[rows], losses[rows], iterations[rows] = p, loss, max_iters
     return params, losses, iterations, live
 
 
@@ -414,12 +439,12 @@ def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResu
     """Fit (theta, a, f) of the damped response; ``fix_f`` pins the scramble level.
 
     The solver starts from the best angle, and its profiled f, of each rate
-    >= 0 on the profiled grid, and of the one negative rate whose best angle
-    has the lowest loss: 10 starts. Negative-rate starts run the longest and
-    mostly end far above the best loss, but a growing amplitude needs one.
-    ``f`` is clamped to [0, 1]; ``a`` may go negative (slightly negative
-    rates do occur on real data) down to -1, or -100 / max power for
-    schedules past power 100, and predictions are not clamped.
+    on the profiled grid: 12 starts. The negative-rate starts run the
+    longest, but on some sparse schedules only one of the three reaches
+    the lowest, a < 0, optimum. ``f`` is clamped to [0, 1]; ``a`` may
+    go negative (slightly negative rates do occur on real data) down to -1,
+    or -100 / max power for schedules past power 100, and predictions are
+    not clamped.
     """
     if fix_f is not None and not 0.0 <= fix_f <= 1.0:
         raise ValidationError(f"fix_f = {fix_f!r} outside [0, 1]", code="out-of-range")
@@ -429,11 +454,8 @@ def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResu
     rates = np.array([lo, lo / 4.0, lo / 16.0, *_RATES])
     thetas, losses, fs = _profiled_grid(fractions, ells, rates, fix_f)
     best = np.argmin(losses, axis=0)
-    # rates lo, lo/4 and lo/16 are negative: keep the one with the lowest cell
     columns = np.arange(len(rates))
-    columns = np.r_[np.argmin(losses[best[:3], columns[:3]]), columns[3:]]
-    best = best[columns]
-    starts = np.stack([thetas[best], rates[columns], fs[best, columns]], axis=-1)
+    starts = np.stack([thetas[best], rates, fs[best, columns]], axis=-1)
     return _fit(fractions, ells, starts, free_f=fix_f is None, sine_only=False)
 
 

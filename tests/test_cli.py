@@ -185,7 +185,7 @@ def test_fit_device_trace(capsys, fixtures_dir):
     assert set(report["results"]) == {"trace", "sine_fit", "noise_fit"}
     assert set(report["results"]["noise_fit"]) == {
         "theta", "theta_half", "a", "f", "probability", "loss"}
-    for name, n_starts in (("sine_fit", 4), ("noise_fit", 10)):
+    for name, n_starts in (("sine_fit", 4), ("noise_fit", 12)):
         metrics = report["metrics"][name]
         assert metrics["converged"] is True
         assert metrics["n_starts"] == n_starts
@@ -204,7 +204,7 @@ def test_fit_warns_when_not_converged(capsys, fixtures_dir, monkeypatch):
     report = json.loads(captured.out)
     assert report["metrics"] == {
         "sine_fit": {"iterations": 1, "converged": False, "n_starts": 4},
-        "noise_fit": {"iterations": 1, "converged": False, "n_starts": 10},
+        "noise_fit": {"iterations": 1, "converged": False, "n_starts": 12},
     }
 
 

@@ -295,8 +295,8 @@ def test_gradient_matches_finite_differences():
 def test_fixture_fits_converge(fixtures_dir):
     for path in sorted(fixtures_dir.glob("trace_*.csv")):
         trace = trace_from_text(path.read_text())
-        fits = [(fit_sine(trace), 4), (fit_noise_model(trace), 10),
-                (fit_noise_model(trace, fix_f=0.5), 10)]
+        fits = [(fit_sine(trace), 4), (fit_noise_model(trace), 12),
+                (fit_noise_model(trace, fix_f=0.5), 12)]
         for fit, n_starts in fits:
             assert fit.converged, path.name
             assert 0 < fit.iterations <= lowdepth._MAX_ITERS
@@ -392,30 +392,71 @@ def test_profiled_grid_fits_are_no_worse_than_the_multi_start_oracle(fixtures_di
     assert not worse, "\n".join(worse)
 
 
-def _per_rate_fit(trace, fix_f):
-    """The damped fit from one start per grid rate, the best angle of each of
-    the 12, before it dropped all but one negative rate. Returns the fit, its
-    starts and each rate's lowest grid loss."""
-    ells = np.asarray(trace.schedule, dtype=float)
-    fractions = np.asarray(trace.fractions)
-    lo = lowdepth._min_rate(ells)
-    rates = np.array([lo, lo / 4.0, lo / 16.0, *lowdepth._RATES])
-    thetas, losses, fs = lowdepth._profiled_grid(fractions, ells, rates, fix_f)
-    best, columns = np.argmin(losses, axis=0), np.arange(len(rates))
-    starts = np.stack([thetas[best], rates, fs[best, columns]], axis=-1)
-    fit = _fit(fractions, ells, starts, free_f=fix_f is None, sine_only=False)
-    return fit, starts, losses[best, columns]
+def _stacked_residuals(fractions, ells, sine_only, free_f):
+    """``lowdepth._residuals`` as first written, one fresh array per term."""
+    odd = 2.0 * ells + 1.0
+
+    def residuals(params):
+        theta = params[:, 0:1]
+        signal = np.sin(odd * theta / 2.0) ** 2
+        dsignal = (odd / 2.0) * np.sin(odd * theta)
+        if sine_only:
+            return signal - fractions, dsignal[:, :, None]
+        a, f = params[:, 1:2], params[:, 2:3]
+        decay = np.exp(-a * ells)
+        df = 1.0 - decay if free_f else np.zeros_like(decay)
+        jac = np.stack([decay * dsignal, -ells * decay * (signal - f), df], axis=-1)
+        return decay * (signal - f) + f - fractions, jac
+
+    return residuals
 
 
-def test_damped_fit_is_no_worse_than_one_start_per_rate(fixtures_dir, monkeypatch):
+def _gathering_solver(residuals, starts, lower, upper, max_iters, tol):
+    """The solver loop before it held the live starts compacted: each
+    iteration gathers the live rows by index and scatters accepted steps
+    back into the full arrays."""
+    params = starts.astype(float)
+    res, jac = residuals(params)
+    losses = (res * res).sum(axis=1)
+    damping = np.full(len(params), 1e-3)
+    live = np.isfinite(losses)
+    eye = np.eye(params.shape[1])
+    iterations = np.zeros(len(params), dtype=int)
+    for _ in range(max_iters):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        iterations[idx] += 1
+        jtr = np.einsum("spi,sp->si", jac[idx], res[idx])
+        pinned = (((params[idx] <= lower) & (jtr > 0.0))
+                  | ((params[idx] >= upper) & (jtr < 0.0)))
+        j = np.where(pinned[:, None, :], 0.0, jac[idx])
+        jtr[pinned] = 0.0
+        jtj = np.einsum("spi,spj->sij", j, j) + damping[idx, None, None] * eye
+        step = lowdepth._solve_each(jtj, -jtr)
+        cand = np.clip(params[idx] + step, lower, upper)
+        cand_res, cand_jac = residuals(cand)
+        cand_loss = (cand_res * cand_res).sum(axis=1)
+        better = cand_loss < losses[idx]
+        took = idx[better]
+        settled = ((losses[took] - cand_loss[better] <= tol * losses[took])
+                   | (cand_loss[better] <= tol * tol * res.shape[1]))
+        params[took], res[took], jac[took] = cand[better], cand_res[better], cand_jac[better]
+        losses[took] = cand_loss[better]
+        damping[took] /= 3.0
+        damping[idx[~better]] *= 4.0
+        live[took[settled]] = False
+        live &= damping <= 1e12
+    return params, losses, iterations, live
+
+
+def test_solver_matches_the_index_gathering_loop(fixtures_dir, monkeypatch):
     traces = [read_trace(fixtures_dir, path.name)
               for path in sorted(fixtures_dir.glob("trace_*.csv"))]
     traces += _growing_traces()
-    # not a guarantee: on random schedules of four or five powers about one
-    # fit in 100 misses a lower a < 0 optimum that a dropped start reaches
     rng = np.random.default_rng(24)
     powers = np.array([1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32])
-    for dense in [True, False] * 15:
+    for dense in [True, False] * 8:
         ells = (np.arange(int(rng.integers(4, 21)) + 1) if dense else
                 np.r_[0, np.sort(rng.choice(powers, int(rng.integers(3, 9)), replace=False))])
         expected = predict(rng.uniform(0.2, 2.9), ells, rng.uniform(0.0, 0.5),
@@ -424,24 +465,51 @@ def test_damped_fit_is_no_worse_than_one_start_per_rate(fixtures_dir, monkeypatc
                                     tuple(rng.binomial(500, expected))))
     calls = []
 
-    def recorded(residuals, starts, *args):
-        calls.append(starts)
-        return _levenberg_marquardt(residuals, starts, *args)
+    def recorded(*args):
+        out = _levenberg_marquardt(*args)
+        calls.append((args, [value.copy() for value in out]))  # _fit folds theta in place
+        return out
 
     monkeypatch.setattr(lowdepth, "_levenberg_marquardt", recorded)
-    worse = []
-    for i, trace in enumerate(traces):
-        for fix_f in (None, 0.5):
-            calls.clear()
-            new = fit_noise_model(trace, fix_f)
-            (starts,) = calls
-            old, old_starts, grid_losses = _per_rate_fit(trace, fix_f)
-            # the kept negative-rate start is the one whose grid cell is lowest
-            kept = old_starts[np.argmin(grid_losses[:3])]
-            assert np.array_equal(starts, np.vstack([kept, old_starts[3:]]))
-            if new.loss > old.loss * (1.0 + 1e-9):
-                worse.append(f"trace {i} f={fix_f}: loss {new.loss!r} > {old.loss!r}")
-    assert not worse, "\n".join(worse)
+    for trace in traces:
+        calls.clear()
+        fit_sine(trace), fit_noise_model(trace), fit_noise_model(trace, fix_f=0.5)
+        fractions = np.asarray(trace.fractions)[None, :]
+        ells = np.asarray(trace.schedule, dtype=float)
+        kinds = [(True, False), (False, True), (False, False)]  # (sine_only, free_f)
+        assert len(calls) == len(kinds)
+        for (args, got), kind in zip(calls, kinds):
+            residuals = _stacked_residuals(fractions, ells, *kind)
+            # the same arithmetic on the same batches: equal to the last bit
+            for value, reference in zip(got, _gathering_solver(residuals, *args[1:])):
+                assert np.array_equal(value, reference, equal_nan=True)
+
+
+@pytest.mark.parametrize("schedule, shots, marked, fix_f", [
+    ((0, 2, 5, 8), 100, (71, 49, 35, 41), None),
+    ((0, 2, 12, 32), 500, (259, 200, 119, 136), None),
+    ((0, 4, 12, 16), 500, (366, 102, 154, 166), 0.5),
+    (tuple(range(20)), 500, (261, 237, 237, 243, 214, 205, 211, 196, 212, 176, 215, 193,
+                             209, 180, 187, 166, 204, 180, 183, 169), 0.5),
+])
+def test_damped_fit_needs_every_negative_rate_start(schedule, shots, marked, fix_f):
+    # seeded random schedules on which refining only the negative rate with
+    # the lowest grid cell, and the nine rates >= 0, misses a lower a < 0
+    # optimum by 1.02x (the dense one) to 335x
+    trace = LowDepthTrace(schedule, (shots,) * len(schedule), marked)
+    fit = fit_noise_model(trace, fix_f)
+    assert fit.n_starts == 12 and fit.a < 0.0
+    ells = np.asarray(schedule, dtype=float)
+    fractions = np.asarray(trace.fractions)
+    lo = lowdepth._min_rate(ells)
+    rates = np.array([lo, lo / 4.0, lo / 16.0, *lowdepth._RATES])
+    thetas, losses, fs = lowdepth._profiled_grid(fractions, ells, rates, fix_f)
+    best = np.argmin(losses, axis=0)
+    columns = np.r_[np.argmin(losses[best[:3], [0, 1, 2]]), np.arange(3, len(rates))]
+    starts = np.stack([thetas[best[columns]], rates[columns], fs[best[columns], columns]],
+                      axis=-1)
+    fewer = _fit(fractions, ells, starts, free_f=fix_f is None, sine_only=False)
+    assert fewer.loss > 1.01 * fit.loss
 
 
 def _dense_trace(top):
