@@ -85,7 +85,7 @@ def evaluate(model: NetworkModel, horizon: int) -> list[DistributionTable]:
 
 def marginal(table: DistributionTable, nodes: Sequence[int], states: Sequence[int]) -> float:
     """Probability that each node in ``nodes`` (1-based) is in its given state."""
-    if not nodes:
+    if len(nodes) == 0:
         raise ValidationError("marginal needs at least one node", code="invalid-node-index")
     if len(set(nodes)) != len(nodes):
         raise ValidationError("marginal nodes must be distinct", code="invalid-node-index")

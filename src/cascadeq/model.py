@@ -13,6 +13,7 @@ node 2 failed and node 1 good.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -136,9 +137,14 @@ def p_on(model: NetworkModel, configs: np.ndarray) -> np.ndarray:
 
 
 def seed_tuple(seed) -> tuple[int, ...]:
-    """An int or tuple-of-ints seed as a tuple; negative entries are rejected
-    here because numpy's seeding raises a bare ValueError on them."""
-    seeds = (seed,) if isinstance(seed, int) else tuple(seed)
+    """An integer or tuple-of-integers seed as a tuple of ints. Any other seed
+    and a negative entry raise ValidationError (``invalid-seed``) here, where
+    numpy's seeding would raise a bare TypeError or ValueError."""
+    try:
+        seeds = tuple(map(operator.index, seed if isinstance(seed, tuple) else (seed,)))
+    except TypeError:
+        raise ValidationError(f"seed {seed!r} is not an integer or a tuple of integers",
+                              code="invalid-seed") from None
     if any(s < 0 for s in seeds):
         raise ValidationError(f"seed {seed!r} has a negative entry; seeds must be >= 0",
                               code="invalid-seed")

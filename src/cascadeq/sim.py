@@ -1,33 +1,33 @@
 """Dense statevector simulation of the gate IR.
 
-Basis index bit q is qubit q (qubit 0 least significant). :func:`apply_gates`
-updates the state in place on its ``[2]*n`` view: a controlled gate slices
+Basis index bit q is qubit q (qubit 0 least significant). The gate kernel
+updates a state in place on its ``[2]*n`` view: a controlled gate slices
 the view on its control axes, a 2x2 gate updates the two halves of its
 target axis, and a diagonal kind (``z``, ``phase``, ``s0``, ``mark``)
-scales the slice where it acts. It works block by block, in scratch that it
-allocates once for all gates; a block holds at most 2^``_BLOCK_QUBITS``
-amplitudes, so no temporary grows with a large state. :func:`probabilities`
-is one ``np.einsum`` of each real part of the state (the state itself, or
-its ``.real`` and ``.imag`` views) with itself on the ``[2]*n`` view, and
-allocates little more than the marginal it returns. A register's marginal
-is fast this way; a long scattered qubit list, which no caller asks for, is
-slower (every other qubit of 20 takes about twice the time of a sum by
-blocks on a complex state).
+scales the slice where it acts. It works block by block, in scratch that
+:func:`run` allocates once for all gates; a block holds at most
+2^``_BLOCK_QUBITS`` amplitudes, so no temporary grows with a large state.
+:func:`probabilities` is one ``np.einsum`` of each real part of the state
+(the state itself, or its ``.real`` and ``.imag`` views) with itself on the
+``[2]*n`` view, and allocates little more than the marginal it returns. A
+register's marginal is fast this way; a long scattered qubit list, which no
+caller asks for, is slower (every other qubit of 20 takes about twice the
+time of a sum by blocks on a complex state).
 
 :func:`run` defers the rotations of fresh qubits. An uncontrolled ``ry`` on
 a qubit no earlier gate touched (the initial layer of a model circuit, which
 the builder hoists to the front) commutes with every gate before the first
 one that touches its qubit, so it waits. ``run`` keeps ``live``, the number
-of low qubits that may be nonzero, and applies the other gates with the
-kernel to the first 2^live amplitudes only. Before a gate whose highest
-qubit q is at or above ``live`` it applies the gates batched so far, writes
-the waiting rotations of qubits live..q by doubling (the rotation on qubit
-j writes the lower 2^j amplitudes times sin above them, then multiplies
-them by cos), and sets ``live`` to q + 1. So the gates of a model circuit's
-first transition act on 2^(2k) amplitudes, not 2^(kT). The state is bit for
-bit the one :func:`apply_gates` gives on |0...0> over that deferred order.
-Against the circuit order the products associate differently: amplitudes
-of 20-qubit model circuits move by at most 8.3e-17.
+of low qubits that may be nonzero, and applies every other gate with the
+kernel to the first 2^live amplitudes as it comes. Before a gate whose
+highest qubit q is at or above ``live`` it writes the waiting rotations of
+qubits live..q by doubling (the rotation on qubit j writes the lower 2^j
+amplitudes times sin above them, then multiplies them by cos), and sets
+``live`` to q + 1. So the gates of a model circuit's first transition act
+on 2^(2k) amplitudes, not 2^(kT). The state is bit for bit the whole-state
+kernel on |0...0> over that deferred order. Against the circuit order the
+products associate differently: amplitudes of 20-qubit model circuits move
+by at most 8.3e-17.
 
 Every gate kind but ``phase`` is real and orthogonal, so :func:`run` holds
 the state as float64 when the circuit has no ``phase`` gate, and as
@@ -48,7 +48,6 @@ __all__ = [
     "DEFAULT_QUBIT_CAP",
     "run",
     "check_run_size",
-    "apply_gates",
     "probabilities",
 ]
 
@@ -103,10 +102,9 @@ def _gate_matrix(gate: Gate) -> tuple[float, float, float, float]:
 
 class _Scratch:
     """Three rows of 2^_block_qubits(n) entries of an n-qubit state's dtype,
-    shared by the gates of one :func:`apply_gates` or :func:`run` call (on
-    any prefix of the state), so that no gate
-    allocates a temporary of its own. :meth:`like` hands them out as views
-    of a block's shape, each made once."""
+    shared by the gates of one :func:`run` call (on any prefix of the
+    state), so that no gate allocates a temporary of its own. :meth:`like`
+    hands them out as views of a block's shape, each made once."""
 
     def __init__(self, n: int, dtype):
         self.qubits = _block_qubits(n)
@@ -177,32 +175,6 @@ def _blocks(view: np.ndarray, qubits: int) -> list[np.ndarray]:
     return [view[index] for index in np.ndindex(view.shape[:lead])]
 
 
-def apply_gates(state: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> np.ndarray:
-    """Apply gates in order to a statevector of 2^n_qubits amplitudes, in place.
-
-    A state of any other length raises ValidationError (``dimension-mismatch``),
-    and a real state takes real gates only: a ``phase`` gate raises
-    ValidationError (``dtype-mismatch``). Both are raised before the state is
-    touched.
-    """
-    if state.shape != (1 << n_qubits,):
-        raise ValidationError(
-            f"statevector has shape {state.shape}, expected ({1 << n_qubits},)",
-            code="dimension-mismatch",
-        )
-    if not np.iscomplexobj(state) and _has_phase(gates):
-        raise ValidationError("a phase gate needs a complex state", code="dtype-mismatch")
-    view = state.reshape([2] * n_qubits)
-    scratch = _Scratch(n_qubits, state.dtype)
-    for gate in gates:
-        _apply_gate(view, gate, n_qubits, scratch)
-    return state
-
-
-def _has_phase(gates: Sequence[Gate]) -> bool:
-    return any(gate.kind == "phase" for gate in gates)
-
-
 def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """Statevector after the whole circuit, starting from |0...0>; float64
     unless the circuit has a ``phase`` gate.
@@ -214,12 +186,12 @@ def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     up still |0>."""
     n = circuit.n_qubits
     check_run_size(n, qubit_cap)
-    state = _zeros(1 << n, complex if _has_phase(circuit.gates) else float)
+    state = _zeros(1 << n, complex if any(g.kind == "phase" for g in circuit.gates) else float)
     state[0] = 1.0
     scratch = _Scratch(n, state.dtype)
     live = 0
+    view = state[:1].reshape(())
     pending: dict[int, Gate] = {}
-    batch: list[Gate] = []
     for gate in circuit.gates:
         top = max(gate.targets) if gate.targets else -1  # max(gate.qubits), but faster
         for q, _ in gate.controls:
@@ -231,27 +203,21 @@ def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
             if gate.kind == "ry" and not gate.controls and top not in pending:
                 pending[top] = gate
                 continue
-            live = _grow(state, live, top + 1, batch, pending, scratch)
-        batch.append(gate)
-    _grow(state, live, n, batch, pending, scratch)
+            live = _grow(state, live, top + 1, pending)
+            view = state[:1 << live].reshape([2] * live)
+        _apply_gate(view, gate, live, scratch)
+    _grow(state, live, n, pending)
     norm = math.sqrt(np.vdot(state, state).real)  # no copy of a complex state's parts
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"statevector norm drifted to {norm!r}", code="norm-drift")
     return state
 
 
-def _grow(state: np.ndarray, live: int, size: int, batch: list[Gate],
-          pending: dict[int, Gate], scratch: _Scratch) -> int:
-    """Apply the batched gates to the first 2^live amplitudes and empty the
-    batch, then write the pending rotations of qubits live..size-1, and
-    return ``size``, the new live count. Before the rotation on qubit j only
-    amplitudes below 2^j can be nonzero, so it writes them times s above
-    them and times c in place."""
-    if batch:
-        view = state[:1 << live].reshape([2] * live)
-        for gate in batch:
-            _apply_gate(view, gate, live, scratch)
-        batch.clear()
+def _grow(state: np.ndarray, live: int, size: int, pending: dict[int, Gate]) -> int:
+    """Write the pending rotations of qubits live..size-1 and return ``size``,
+    the new live count. Before the rotation on qubit j only amplitudes below
+    2^j can be nonzero, so it writes them times s above them and times c in
+    place."""
     for j in range(live, size):
         gate = pending.pop(j, None)
         if gate is not None:
@@ -298,7 +264,7 @@ def _qubit_count(state: np.ndarray) -> int:
 
 
 def _check_qubits(qubits: Sequence[int], n: int) -> None:
-    if not qubits:
+    if len(qubits) == 0:
         raise ValidationError("at least one qubit required", code="index-out-of-range")
     if len(set(qubits)) != len(qubits):
         raise ValidationError("qubits must be distinct", code="index-out-of-range")

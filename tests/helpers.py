@@ -2,9 +2,11 @@
 
 Nothing here may call into the package's propagation, simulation, or
 fitting paths; expected values must come from first-principles enumeration
-or closed-form expressions. The one exception is :func:`extract_unitary`,
-which reads a circuit's matrix through the simulator for the tests that
-check the simulator's gates and the circuit builders against each other.
+or closed-form expressions. The exceptions are :func:`apply_gates`, the
+simulator's gate kernel over a whole state in circuit order, and
+:func:`extract_unitary`, which reads a circuit's matrix through it for the
+tests that check the simulator's gates and the circuit builders against
+each other.
 :func:`plain_emit` reuses the package's line format, one gate at a time.
 """
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from cascadeq import Circuit, NetworkModel, ResourceLimitError, sim
 from cascadeq.circuit import _emit_line, _lower
-from cascadeq.sim import apply_gates
 
 
 def stay_good_probability(model: NetworkModel, prev: int, n: int) -> float:
@@ -111,6 +112,16 @@ def random_model(rng: np.random.Generator, k: int) -> NetworkModel:
     np.fill_diagonal(trigger, 0.0)
     return NetworkModel(tuple(p_fail), tuple(p_recover),
                         tuple(tuple(row) for row in trigger))
+
+
+def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
+    """Apply the gates in order to ``state``, of 2^n amplitudes, in place,
+    one ``sim._apply_gate`` call each on the whole state; no gate waits."""
+    view = state.reshape([2] * n)
+    scratch = sim._Scratch(n, state.dtype)
+    for gate in gates:
+        sim._apply_gate(view, gate, n, scratch)
+    return state
 
 
 def extract_unitary(circuit: Circuit, qubit_cap: int = 10) -> np.ndarray:

@@ -8,8 +8,8 @@ Grover circuit equals the reflection form the library computes with in its
 place, and the schedule's closed-form marked mass equals that of the
 simulated Grover powers. The float64 statevector of a circuit with no
 ``phase`` gate is the real part of its complex128 run, and ``run`` equals
-``apply_gates`` over the deferred gate order exactly, and over the circuit
-order to rounding.
+the gate kernel over the whole state in the deferred gate order exactly,
+and in the circuit order to rounding.
 """
 import math
 
@@ -35,8 +35,7 @@ from cascadeq import (
     run,
 )
 from cascadeq.qae import _ancilla_distribution, _half_angle, _plane
-from cascadeq.sim import apply_gates
-from helpers import deferred_order, enumerate_distribution, extract_unitary
+from helpers import apply_gates, deferred_order, enumerate_distribution, extract_unitary
 
 _PROBABILITY = st.floats(0.0, 1.0)
 

@@ -104,16 +104,19 @@ def test_marginal_examples(two_node):
     table = evaluate(two_node, 3)[3]
     assert marginal(table, [1], [1]) == pytest.approx(0.308 + 0.333, abs=1e-3)
     for config in range(4):
-        full = marginal(table, [1, 2], [(config >> 0) & 1, (config >> 1) & 1])
+        bits = [(config >> 0) & 1, (config >> 1) & 1]
+        full = marginal(table, [1, 2], bits)
         assert full == pytest.approx(table.probability(config), abs=0)
+        assert marginal(table, np.array([1, 2]), np.array(bits)) == full
     total = sum(marginal(table, [1, 2], [b1, b2]) for b1 in (0, 1) for b2 in (0, 1))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_marginal_validation(two_node):
     table = evaluate(two_node, 1)[1]
-    with pytest.raises(ValidationError):
-        marginal(table, [], [])
+    for empty in ([], np.array([], dtype=int)):
+        with pytest.raises(ValidationError):
+            marginal(table, empty, [])
     with pytest.raises(ValidationError):
         marginal(table, [3], [0])
     with pytest.raises(ValidationError):

@@ -1,8 +1,11 @@
 """The public surface of the package, pinned so that a name or parameter
 only tests would use cannot come back unnoticed."""
+import importlib
 import inspect
+import pkgutil
 
 import cascadeq
+from cascadeq import sim
 
 PUBLIC = {
     "CascadeqError", "Circuit", "DegenerateSubspaceError", "DistributionTable",
@@ -21,6 +24,20 @@ def test_public_names():
     names = {name for name, value in vars(cascadeq).items()
              if not name.startswith("_") and not inspect.ismodule(value)}
     assert names == PUBLIC
+
+
+def test_sim_names():
+    assert sim.__all__ == ["DEFAULT_QUBIT_CAP", "run", "check_run_size", "probabilities"]
+
+
+def test_every_submodule_all_resolves():
+    listed = 0
+    for info in pkgutil.iter_modules(cascadeq.__path__):
+        module = importlib.import_module(f"cascadeq.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"cascadeq.{info.name}.{name}"
+            listed += 1
+    assert listed > 0
 
 
 def test_public_parameters():
