@@ -58,7 +58,6 @@ from .lowdepth import (
 from .mc import evaluate_mc
 from .model import format_config, load_model
 from .qae import _qae_sweep, grover_eigenphase
-from .sim import DEFAULT_QUBIT_CAP
 
 _CURVE_STEP = 0.05
 
@@ -298,7 +297,7 @@ def _cmd_qae(args):
                 "plane_residual": residual}
 
     if args.eigenphase:
-        result = grover_eigenphase(model, args.steps, spec, qubit_cap=args.qubit_cap)
+        result = grover_eigenphase(model, args.steps, spec)
         results = {
             "eigenphase": {
                 "theta": result.theta,
@@ -312,8 +311,7 @@ def _cmd_qae(args):
     bits_list = _parse_int_list(args.bits_text)
     # one model run for the whole sweep; each bit count draws with its own seed
     estimates = _qae_sweep(model, args.steps, spec,
-                           [(bits, (args.seed, bits)) for bits in bits_list],
-                           args.shots, args.qubit_cap)
+                           [(bits, (args.seed, bits)) for bits in bits_list], args.shots)
     sweep = [{
         "bits": r.bits,
         "outcome_counts": {str(y): n for y, n in sorted(r.outcome_counts.items())},
@@ -341,7 +339,7 @@ def _cmd_lowdepth(args):
     elif args.noise_a is not None:
         noise = NoiseSpec.from_decay_rate(args.noise_a)
     trace = run_schedule(model, args.steps, spec, schedule, args.shots,
-                         noise=noise, seed=args.seed, qubit_cap=args.qubit_cap)
+                         noise=noise, seed=args.seed)
     theta_exact, p_exact = _exact_theta(model, args.steps, spec)
     fits, metrics = _fit_blocks(trace, args.fix_f)
     results = {
@@ -475,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eigenphase", action="store_true",
                    help="report the exact Grover eigenphase instead of sampling")
-    p.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
     p.set_defaults(handler=_cmd_qae)
 
     p = sub.add_parser("lowdepth", help="run a Grover-power schedule and fit it")
@@ -490,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--noise-a", type=float,
                        help="per-Grover decay rate; epsilon = 1 - e^-a")
     p.add_argument("--fix-f", type=float, help="pin the scramble level f in the fit")
-    p.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
     p.set_defaults(handler=_cmd_lowdepth)
 
     p = sub.add_parser("fit", help="fit a trace file (header l,shots,marked)")

@@ -36,8 +36,9 @@ class ParseError(CascadeqError, ValueError):
 
 
 class ResourceLimitError(CascadeqError, RuntimeError):
-    """Requested simulation exceeds the qubit cap, the dense byte budget, or
-    the 63 nodes of a Monte Carlo configuration integer."""
+    """Requested work exceeds the dense byte budget (a statevector run from 25
+    qubits, a sweep's outcomes, the exact fold, a gate list), a shot count a
+    draw or trace holds, or the 63 nodes of a Monte Carlo configuration."""
 
     code = "resource-limit"
 

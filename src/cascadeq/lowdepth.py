@@ -22,6 +22,7 @@ import contextlib
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .circuit import GroverSpec
 from .errors import FitDivergedError, ParseError, ResourceLimitError, ValidationError
 from .model import NetworkModel, seed_tuple
 from .qae import _half_angle, _plane
-from .sim import DEFAULT_QUBIT_CAP
 
 __all__ = [
     "NoiseSpec",
@@ -146,35 +146,33 @@ hold every integer up to 2^53 exactly."""
 
 
 def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
-                 shots, noise: NoiseSpec | None = None, seed=0,
-                 qubit_cap: int = DEFAULT_QUBIT_CAP) -> LowDepthTrace:
+                 shots, noise: NoiseSpec | None = None, seed=0) -> LowDepthTrace:
     """Run the model once and draw each scheduled power's marked count.
 
     Power l's count is Binomial(shots, s sin^2((2l+1)a) + (1 - s) 2^-m), with
     s = (1 - epsilon)^l the channel's survival, sin(a) = sqrt(p) and m the
     marked nodes, drawn from the stream seeded by (seed, l): any two
-    schedules agree on their common powers. Shots past 2^53 are refused
+    schedules agree on their common powers. ``shots`` is one integer for
+    every power or a sequence of one per power; shots past 2^53 are refused
     before the model runs.
     """
     schedule = tuple(int(l) for l in schedule)
-    if not schedule:
-        raise ValidationError("schedule must be nonempty", code="invalid-schedule")
-    per_shots = (tuple(int(s) for s in shots) if not isinstance(shots, int)
-                 else (int(shots),) * len(schedule))
+    try:
+        per_shots = (tuple(map(operator.index, shots)) if np.iterable(shots)
+                     else (operator.index(shots),) * len(schedule))
+    except TypeError:
+        raise ValidationError("shots must be an integer or a sequence of integers",
+                              code="invalid-shots") from None
     if len(per_shots) != len(schedule):
         raise ValidationError("one shot count per schedule entry required",
                               code="invalid-shots")
-    if any(n < 1 for n in per_shots):
-        raise ValidationError("shots must be >= 1", code="invalid-shots")
-    if any(l < 0 for l in schedule) or len(set(schedule)) != len(schedule):
-        raise ValidationError("schedule powers must be distinct and >= 0",
-                              code="invalid-schedule")
+    LowDepthTrace(schedule, per_shots, (0,) * len(schedule))  # its checks, before the run
     if max(per_shots) > _MAX_SHOTS:
         raise ResourceLimitError("a shot count exceeds 2^53, the most a trace's float counts "
                                  "hold exactly")
     epsilon = noise.per_grover_error if noise is not None else 0.0
     seeds = seed_tuple(seed)
-    p, _ = _plane(model, horizon, spec, qubit_cap)
+    p, _ = _plane(model, horizon, spec)
     angle = _half_angle(p)
     scrambled = 0.5 ** len(spec.marked)
     counts = []

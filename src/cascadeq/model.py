@@ -155,7 +155,7 @@ def seed_tuple(seed) -> tuple[int, ...]:
 
 def format_config(value: int, k: int) -> str:
     """Render a configuration most-significant node first ("10" = node 2 failed)."""
-    return "".join(str((value >> (n - 1)) & 1) for n in range(k, 0, -1))
+    return format((value & ((1 << k) - 1)) | (1 << k), "b")[1:]
 
 
 def parse_config(text: str) -> int:

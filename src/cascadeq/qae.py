@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import GroverSpec, build_model_circuit
-from .errors import DegenerateSubspaceError, ResourceLimitError, ValidationError
+from .errors import (DegenerateSubspaceError, ResourceLimitError, ValidationError,
+                     check_dense_bytes)
 from .model import NetworkModel, seed_tuple
-from .sim import DEFAULT_QUBIT_CAP, check_run_size, probabilities, run
+from .sim import check_run_size, probabilities, run
 
 __all__ = [
     "QaeResult",
@@ -78,8 +79,7 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
     return theta, math.sin(math.pi * folded / size) ** 2
 
 
-def _plane(model: NetworkModel, horizon: int, spec: GroverSpec,
-           qubit_cap: int) -> tuple[float, float]:
+def _plane(model: NetworkModel, horizon: int, spec: GroverSpec) -> tuple[float, float]:
     """The Grover plane from one model run: (p, residual).
 
     p and q are the sums of the target-register marginal over its marked
@@ -87,11 +87,11 @@ def _plane(model: NetworkModel, horizon: int, spec: GroverSpec,
     ``run`` refuses is refused unbuilt, and a marked node or step outside
     the layout before the run."""
     if horizon >= 1:
-        check_run_size(model.k * horizon, qubit_cap)
+        check_run_size(model.k * horizon)
     base = build_model_circuit(model, horizon)
     for node, _ in spec.marked:  # matches() alone would pass a node past k at bit 0
         base.qubit(node, spec.target_step)
-    dist = probabilities(run(base, qubit_cap=qubit_cap), base.register(spec.target_step))
+    dist = probabilities(run(base), base.register(spec.target_step))
     mask = spec.matches(np.arange(len(dist)))
     p = float(np.where(mask, dist, 0.0).sum())
     q = float(np.where(mask, 0.0, dist).sum())
@@ -115,33 +115,36 @@ def _ancilla_distribution(angle: float, bits: int) -> np.ndarray:
     return (np.abs(np.fft.fft(powers, axis=0)) ** 2).sum(axis=1) / size ** 2
 
 
+_OUTCOME_PEAK = 360
+"""Peak bytes of the ``qae`` verb per outcome of its sweep, counts and report
+included: tracemalloc 326-327 at 12-18 bits with 2^63 - 1 shots, every
+outcome drawn; :func:`_ancilla_distribution` alone peaks at 88."""
+
+
 def _draw_counts(probs: np.ndarray, shots: int, seed) -> dict[int, int]:
-    """Seeded multinomial draw of ``shots`` outcomes from ``probs``, clipped at
-    0 and normalised; keys are the outcome indices drawn at least once."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1", code="invalid-shots")
+    """Seeded multinomial draw of ``shots`` >= 1 outcomes from ``probs``, clipped
+    at 0 and normalised; keys are the outcome indices drawn at least once."""
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = np.random.default_rng(seed_tuple(seed))
     drawn = rng.multinomial(shots, probs)
-    return {int(v): int(c) for v, c in enumerate(drawn) if c}
+    outcomes = np.flatnonzero(drawn)
+    return dict(zip(outcomes.tolist(), drawn[outcomes].tolist()))
 
 
-def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots: int,
-               qubit_cap: int) -> list[QaeResult]:
+def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs,
+               shots: int) -> list[QaeResult]:
     """Standard QAE at each of the (bits, seed) ``pairs``, from one model run.
 
-    Every pair is checked before the model runs: its bit count, its seed,
-    the size of the circuit being estimated (the k*horizon model qubits and
-    the ``bits`` ancillas) and the shot count, which numpy draws as an int64.
+    Every pair's bit count and seed, and the shot count, which numpy draws
+    as an int64, are checked before the model runs; then the bytes of every
+    pair's 2^bits outcomes, at ``_OUTCOME_PEAK`` each, against the budget.
+    The model run is budgeted by :func:`_plane`; no ancilla is simulated.
     """
     for bits, seed in pairs:
         if bits < 1:
             raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
         seed_tuple(seed)
-        # this also bounds the (2^bits, 2) arrays of the ancilla distribution
-        if horizon >= 1:
-            check_run_size(model.k * horizon + bits, qubit_cap)
         # the shots are checked with each pair, so a sweep's first refusal
         # is the one a call per bit count would meet first
         if shots < 1:
@@ -149,7 +152,11 @@ def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots
         if shots >= 1 << 63:
             raise ResourceLimitError("the shot count exceeds the 2^63 - 1 that an int64 draw "
                                      "count holds")
-    p, residual = _plane(model, horizon, spec, qubit_cap)
+    if any(bits > 62 for bits, _ in pairs):  # not 1 << bits for a huge bit count
+        raise ResourceLimitError("a sweep past 62 bits draws 2^63 outcomes or more")
+    outcomes = sum(1 << bits for bits, _ in pairs)
+    check_dense_bytes(_OUTCOME_PEAK * outcomes, f"a sweep over {outcomes} outcomes")
+    p, residual = _plane(model, horizon, spec)
     angle = _half_angle(p)
     results = []
     for bits, seed in pairs:
@@ -161,19 +168,18 @@ def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs, shots
 
 
 def run_standard_qae(model: NetworkModel, horizon: int, spec: GroverSpec, bits: int,
-                     shots: int, seed, qubit_cap: int = DEFAULT_QUBIT_CAP) -> QaeResult:
+                     shots: int, seed) -> QaeResult:
     """Sample the phase-estimation ancillas and decode the most frequent outcome.
 
     The ancilla distribution is the closed form on the Grover plane: only
-    the k*horizon model qubits are simulated, once. ``qubit_cap`` and the
-    byte budget still count the ``bits`` ancillas of the circuit being
-    estimated; they, and a shot count past an int64, are refused before the
-    model runs."""
-    return _qae_sweep(model, horizon, spec, [(bits, seed)], shots, qubit_cap)[0]
+    the k*horizon model qubits are simulated, once, and a model of 25 qubits
+    or more is refused. The 2^bits outcomes are budgeted at
+    ``_OUTCOME_PEAK`` bytes each, so ``bits`` past 21 is refused; that, and a
+    shot count past an int64, before the model runs."""
+    return _qae_sweep(model, horizon, spec, [(bits, seed)], shots)[0]
 
 
-def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
-                      qubit_cap: int = DEFAULT_QUBIT_CAP) -> EigenphaseResult:
+def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec) -> EigenphaseResult:
     """Read the rotation angle of the Grover operator from its invariant plane.
 
     The state after the model circuit splits into marked and unmarked
@@ -183,7 +189,7 @@ def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec,
     eigendecomposition. The residual reports how far that marginal's total
     is from 1; it should be at numerical noise level.
     """
-    p, residual = _plane(model, horizon, spec, qubit_cap)
+    p, residual = _plane(model, horizon, spec)
     if p < 1e-12 or p > 1.0 - 1e-12:
         raise DegenerateSubspaceError(
             f"marked probability {p!r} leaves no two-dimensional rotation plane")

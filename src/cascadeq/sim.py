@@ -45,13 +45,10 @@ from .circuit import Circuit, Gate
 from .errors import DENSE_BYTE_BUDGET, ResourceLimitError, ValidationError, check_dense_bytes
 
 __all__ = [
-    "DEFAULT_QUBIT_CAP",
     "run",
     "check_run_size",
     "probabilities",
 ]
-
-DEFAULT_QUBIT_CAP = 20
 
 _RUN_PEAK = 2.65
 """Peak bytes of :func:`run` as a multiple of the 16 * 2^n of one complex128
@@ -175,7 +172,7 @@ def _blocks(view: np.ndarray, qubits: int) -> list[np.ndarray]:
     return [view[index] for index in np.ndindex(view.shape[:lead])]
 
 
-def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def run(circuit: Circuit) -> np.ndarray:
     """Statevector after the whole circuit, starting from |0...0>; float64
     unless the circuit has a ``phase`` gate.
 
@@ -183,9 +180,9 @@ def run(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     earlier gate touched waits until a gate touches that qubit or one above
     it, then is written by doubling, and the other gates act on the live
     prefix only, the amplitudes below 2^live with every qubit from ``live``
-    up still |0>."""
+    up still |0>. From 25 qubits on, :func:`check_run_size` refuses a run."""
     n = circuit.n_qubits
-    check_run_size(n, qubit_cap)
+    check_run_size(n)
     state = _zeros(1 << n, complex if any(g.kind == "phase" for g in circuit.gates) else float)
     state[0] = 1.0
     scratch = _Scratch(n, state.dtype)
@@ -228,13 +225,11 @@ def _grow(state: np.ndarray, live: int, size: int, pending: dict[int, Gate]) -> 
     return size
 
 
-def check_run_size(n: int, qubit_cap: int = DEFAULT_QUBIT_CAP) -> None:
+def check_run_size(n: int) -> None:
     """Raise ResourceLimitError if :func:`run` on ``n`` qubits would be refused,
-    so a caller can refuse before it builds the circuit: ``n`` passes
-    ``qubit_cap``, or the run's peak of ``_RUN_PEAK`` times the 16 * 2^n bytes
-    of one statevector passes ``DENSE_BYTE_BUDGET``."""
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceed the cap of {qubit_cap}")
+    so a caller can refuse before it builds the circuit: the run's peak of
+    ``_RUN_PEAK`` times the 16 * 2^n bytes of one statevector passes
+    ``DENSE_BYTE_BUDGET``, the simulator's only size limit, from 25 qubits."""
     # 16 * 2^63 bytes is past any budget, and past about n = 1020 the float
     # product below would overflow
     if n > 62:

@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 
-from cascadeq import Circuit, NetworkModel, ResourceLimitError, sim
+from cascadeq import Circuit, Gate, NetworkModel, ResourceLimitError, sim
 from cascadeq.circuit import _emit_line, _lower
 
 
@@ -124,19 +124,19 @@ def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
     return state
 
 
-def extract_unitary(circuit: Circuit, qubit_cap: int = 10) -> np.ndarray:
-    """Full complex matrix of the circuit, one basis column through the
-    simulator at a time."""
+def extract_unitary(circuit: Circuit, max_qubits: int = 10) -> np.ndarray:
+    """Full complex matrix of the circuit from one pass of its gates, moved up
+    by n qubits, over a 2n-qubit state holding the flattened identity: the
+    row index sits in the high qubits and the column index in the low ones."""
     n = circuit.n_qubits
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceed the extraction cap of {qubit_cap}")
+    if n > max_qubits:
+        raise ResourceLimitError(f"{n} qubits exceed the extraction cap of {max_qubits}")
     dim = 1 << n
-    matrix = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        column = np.zeros(dim, dtype=complex)
-        column[j] = 1.0
-        matrix[:, j] = apply_gates(column, circuit.gates, n)
-    return matrix
+    shifted = [Gate(g.kind, tuple(q + n for q in g.targets),
+                    tuple((q + n, pol) for q, pol in g.controls), g.angle)
+               for g in circuit.gates]
+    state = np.eye(dim, dtype=complex).reshape(-1)
+    return apply_gates(state, shifted, 2 * n).reshape(dim, dim)
 
 
 def deferred_order(gates) -> list:

@@ -6,6 +6,7 @@ from cascadeq import (FitDivergedError, NetworkModel, ResourceLimitError, parse_
                       save_model)
 from cascadeq import cli
 from cascadeq.cli import _write, main
+from helpers import traced_peak
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -363,8 +364,8 @@ def test_exit_codes(capsys, fixtures_dir, tmp_path, monkeypatch):
 
     code, _ = run_cli(capsys, "qae", "--model",
                       model_path(fixtures_dir, "two_node_model.json"), "--steps", "3",
-                      "--config", "11", "--bits", "15")
-    assert code == 2  # 6 + 15 qubits exceed the default cap
+                      "--config", "11", "--bits", "22")
+    assert code == 2  # 2^22 outcomes exceed the byte budget
 
     import cascadeq.cli as cli_module
 
@@ -440,7 +441,7 @@ def test_int_list_at_the_byte_budget_is_parsed(monkeypatch):
 
 @pytest.mark.parametrize("k,args", [
     (14, ("exact", "--steps", "1")),
-    (6, ("qae", "--steps", "5", "--config", "1" * 6, "--eigenphase", "--qubit-cap", "40")),
+    (6, ("qae", "--steps", "5", "--config", "1" * 6, "--eigenphase")),
 ], ids=["exact-14-nodes", "eigenphase-30-qubits"])
 def test_dense_engine_over_byte_budget_exits_2(capsys, tmp_path, k, args):
     # the 14-node step matrix (1.5 * 8 * 4^14 bytes) and the 30-qubit
@@ -467,7 +468,7 @@ def test_eigenphase_over_its_peak_budget_exits_2_before_allocating(capsys, tmp_p
     path = tmp_path / "model.json"
     path.write_text(save_model(NetworkModel.from_triggers([0.1] * 25, [0.5] * 25, {})))
     code = main(["qae", "--model", str(path), "--steps", "1", "--config", "*" * 24 + "1",
-                 "--eigenphase", "--qubit-cap", "40"])
+                 "--eigenphase"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")
@@ -493,9 +494,10 @@ def test_lowdepth_past_2_53_shots_exits_2_before_the_model_runs(capsys, fixtures
     assert captured.out == ""
 
 
-def test_qae_past_the_qubit_cap_exits_2_before_building(capsys, fixtures_dir, monkeypatch):
-    # 6 model qubits and 40 ancillas pass the cap; the refusal must come
-    # before the Grover plane is computed
+def test_qae_past_the_outcome_budget_exits_2_before_the_plane(capsys, fixtures_dir,
+                                                              monkeypatch):
+    # 2^40 outcomes pass the byte budget; the refusal must come before the
+    # Grover plane is computed
     import cascadeq.qae
 
     def no_plane(*args, **kwargs):
@@ -525,24 +527,60 @@ def _count_model_runs(monkeypatch) -> list:
 
 
 def test_qae_sweep_runs_the_model_once(capsys, fixtures_dir, monkeypatch):
+    # only the 6 model qubits are simulated; up to 15 ancillas are budgeted
+    # as outcomes, not as qubits of a run
     runs = _count_model_runs(monkeypatch)
-    report = report_of(capsys, "qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
-                       "--steps", "3", "--config", "11", "--bits", "3..9")
-    assert [entry["bits"] for entry in report["results"]["sweep"]] == list(range(3, 10))
+    for top in (9, 15):
+        report = report_of(capsys, "qae", "--model",
+                           model_path(fixtures_dir, "two_node_model.json"), "--steps", "3",
+                           "--config", "11", "--bits", f"3..{top}")
+        assert [entry["bits"] for entry in report["results"]["sweep"]] == list(range(3, top + 1))
+        assert report["metrics"]["simulated_qubits"] == 6
+    assert len(runs) == 2
+
+
+def test_qae_sweep_past_the_outcome_budget_exits_2_before_the_model_runs(
+        capsys, fixtures_dir, monkeypatch):
+    # the budget holds the outcomes of bits 3..15 and no more: one bit count
+    # more is refused before the model runs
+    import cascadeq.errors
+    import cascadeq.qae
+
+    outcomes = sum(1 << bits for bits in range(3, 16))
+    monkeypatch.setattr(cascadeq.errors, "DENSE_BYTE_BUDGET",
+                        cascadeq.qae._OUTCOME_PEAK * outcomes)
+    runs = _count_model_runs(monkeypatch)
+    argv = ["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+            "--steps", "3", "--config", "11"]
+    code = main([*argv, "--bits", "3..16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+    assert runs == []
+    report_of(capsys, *argv, "--bits", "3..15")
     assert len(runs) == 1
 
 
-def test_qae_sweep_past_the_qubit_cap_exits_2_before_the_model_runs(
-        capsys, fixtures_dir, monkeypatch):
-    # 6 model qubits and 15 ancillas pass the cap of 20; bit counts 3..14 fit
-    runs = _count_model_runs(monkeypatch)
-    code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
-                 "--steps", "3", "--config", "11", "--bits", "3..15"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error (resource-limit): 21 qubits exceed the cap of 20\n"
-    assert captured.out == ""
-    assert runs == []
+def test_qae_outcome_peak_covers_the_verb(capsys, fixtures_dir, tmp_path):
+    # every outcome drawn: at 2^63 - 1 shots no outcome of 12 or 14 bits has
+    # a probability too small to be drawn, and each count has 19 digits
+    import cascadeq.qae
+
+    out = tmp_path / "qae.json"
+
+    def verb(bits):
+        code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
+                     "--steps", "3", "--config", "11", "--bits", str(bits),
+                     "--shots", str((1 << 63) - 1), "--out", str(out)])
+        assert code == 0
+
+    verb(3)  # the first call's one-time imports and caches are not per outcome
+    for bits in (12, 14):
+        peak = traced_peak(lambda: verb(bits)) / (1 << bits)
+        counts = json.loads(out.read_text())["results"]["sweep"][0]["outcome_counts"]
+        assert len(counts) == 1 << bits
+        assert peak <= cascadeq.qae._OUTCOME_PEAK <= 1.3 * peak, (bits, peak)
 
 
 def test_qae_shots_past_an_int64_exit_2_before_the_model_runs(capsys, fixtures_dir, monkeypatch):
@@ -560,11 +598,11 @@ def test_qae_shots_past_an_int64_exit_2_before_the_model_runs(capsys, fixtures_d
 
 
 def test_qae_past_a_float_sized_state_exits_2(capsys, fixtures_dir, tmp_path):
-    # 1106 qubits: 16 * 2^1106 bytes is past what a float can hold
+    # 2^1100 phase-estimation outcomes: that many bytes are past what a float
+    # can hold
     out = tmp_path / "report.json"
     code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),
-                 "--steps", "3", "--config", "11", "--bits", "1100", "--qubit-cap", "2000",
-                 "--out", str(out)])
+                 "--steps", "3", "--config", "11", "--bits", "1100", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")

@@ -49,7 +49,6 @@ _FLAGS = {
     "config": ["", "0", "1", "2", "**", "10", "11", "0110", "1x"],
     "bits": ["", "x", "-1", "0", "1", "4", "2..4", "4..2", "1,3", "1..x"],
     "shots": ["-1", "0", "1", "x", "9223372036854775808"],
-    "qubit-cap": ["-1", "0", "4", "x"],
     "schedule": ["", "x", "-1", "0", "1,1", "0,2,5", "3..1"],
     "eigenphase": [None],
     "noise-epsilon": ["-0.1", "0", "0.2", "1", "1.5", "nan", "x"],
@@ -95,8 +94,7 @@ _CLEAN = {
     "exact": {"steps": "2"},
     "mc": {"steps": "2", "runs": "50", "seed": "7", "repeats": "2"},
     "circuit": {"steps": "2", "kind": "model", "config": CONFIG, "bits": "3"},
-    "qae": {"steps": "2", "config": CONFIG, "bits": "3", "shots": "20", "seed": "7",
-            "qubit-cap": "20"},
+    "qae": {"steps": "2", "config": CONFIG, "bits": "3", "shots": "20", "seed": "7"},
     "lowdepth": {"steps": "2", "config": CONFIG, "schedule": "0..4", "shots": "20",
                  "seed": "7"},
     "fit": {},

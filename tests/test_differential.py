@@ -156,7 +156,7 @@ def test_plane_distribution_matches_phase_estimation_circuit(model, horizon, bit
     assume(1e-9 < p < 1.0 - 1e-9)
     circuit = build_qae_circuit(model, horizon, spec, bits)
     want = probabilities(run(circuit), circuit.ancillas)
-    plane_p, residual = _plane(model, horizon, spec, qubit_cap=20)
+    plane_p, residual = _plane(model, horizon, spec)
     got = _ancilla_distribution(_half_angle(plane_p), bits)
     assert residual < 1e-8
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -194,7 +194,7 @@ def test_schedule_distributions_match_simulated_grover_powers(model, horizon, da
     grover = build_grover(model, horizon, spec)
     register = base.register(spec.target_step)
     marked = spec.matches(np.arange(1 << len(register)))
-    angle = _half_angle(_plane(model, horizon, spec, qubit_cap=20)[0])
+    angle = _half_angle(_plane(model, horizon, spec)[0])
     state = run(base)
     for power in range(9):
         mass = probabilities(state, register)[marked].sum()

@@ -157,6 +157,17 @@ def test_run_schedule_validation(one_node):
         run_schedule(one_node, 1, spec, [0], [10, 20])
 
 
+def test_run_schedule_takes_any_integer_shot_count(two_node):
+    spec = GroverSpec.from_config("11", 3)
+    trace = run_schedule(two_node, 3, spec, range(5), 100, seed=4)
+    for shots in (np.int64(100), [np.int64(100)] * 5, np.full(5, 100)):
+        assert run_schedule(two_node, 3, spec, range(5), shots, seed=4) == trace
+    for shots in (100.0, "100", [100, 2.5, 100, 100, 100], None):
+        with pytest.raises(ValidationError) as info:
+            run_schedule(two_node, 3, spec, range(5), shots)
+        assert info.value.code == "invalid-shots", shots
+
+
 def test_trace_validation():
     with pytest.raises(ValidationError):
         LowDepthTrace((0, 1), (30, 30), (31, 0))

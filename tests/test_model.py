@@ -145,6 +145,17 @@ def test_config_helpers():
     assert parse_config("1" + "0" * 69) == 1 << 69  # past 64 nodes
 
 
+def test_format_config_is_the_bit_by_bit_form():
+    def bit_by_bit(value, k):
+        return "".join(str((value >> (n - 1)) & 1) for n in range(k, 0, -1))
+
+    for k in range(13):
+        size = 1 << k
+        values = [*range(size), size, size + 5, 3 * size + 1, 1 << 70, -1, -2, -size - 3]
+        for value in values:
+            assert format_config(value, k) == bit_by_bit(value, k), (value, k)
+
+
 def test_parse_config_rejects_junk():
     with pytest.raises(ParseError):
         parse_config("1x0")

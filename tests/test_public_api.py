@@ -27,7 +27,7 @@ def test_public_names():
 
 
 def test_sim_names():
-    assert sim.__all__ == ["DEFAULT_QUBIT_CAP", "run", "check_run_size", "probabilities"]
+    assert sim.__all__ == ["run", "check_run_size", "probabilities"]
 
 
 def test_every_submodule_all_resolves():
@@ -44,6 +44,12 @@ def test_public_parameters():
     def parameters(function):
         return list(inspect.signature(function).parameters)
 
-    assert parameters(cascadeq.run) == ["circuit", "qubit_cap"]
+    assert parameters(cascadeq.run) == ["circuit"]
+    assert parameters(sim.check_run_size) == ["n"]
+    assert parameters(cascadeq.run_standard_qae) == ["model", "horizon", "spec", "bits", "shots",
+                                                     "seed"]
+    assert parameters(cascadeq.grover_eigenphase) == ["model", "horizon", "spec"]
+    assert parameters(cascadeq.run_schedule) == ["model", "horizon", "spec", "schedule", "shots",
+                                                 "noise", "seed"]
     assert parameters(cascadeq.fit_sine) == ["trace"]
     assert parameters(cascadeq.fit_noise_model) == ["trace", "fix_f"]

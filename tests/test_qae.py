@@ -89,7 +89,7 @@ def test_qae_sweep_draws_each_bit_count_as_its_own_run(two_node):
     # one plane for the sweep, and each bit count's own seed
     spec = GroverSpec.from_config("1*", 3)
     pairs = [(bits, (17, bits)) for bits in (1, 3, 4, 7)]
-    sweep = qae._qae_sweep(two_node, 3, spec, pairs, 1000, qubit_cap=20)
+    sweep = qae._qae_sweep(two_node, 3, spec, pairs, 1000)
     assert sweep == [run_standard_qae(two_node, 3, spec, bits, 1000, seed)
                      for bits, seed in pairs]
 
@@ -98,9 +98,27 @@ def test_qae_sweep_refuses_a_shot_count_of_5000_digits(two_node):
     # past an int64, and past the digits Python converts to a decimal string
     spec = GroverSpec.from_config("11", 3)
     with pytest.raises(ResourceLimitError):
-        qae._qae_sweep(two_node, 3, spec, [(3, 1)], 10 ** 5000, qubit_cap=20)
+        qae._qae_sweep(two_node, 3, spec, [(3, 1)], 10 ** 5000)
     with pytest.raises(ResourceLimitError):
         run_standard_qae(two_node, 3, spec, 3, 10 ** 5000, 1)
+
+
+def test_qae_sweep_budgets_its_outcomes_before_the_model_runs(two_node, monkeypatch):
+    # 2^21 outcomes fit the byte budget, 2^22 and two sets of 2^21 do not;
+    # the plane is stubbed out, so nothing of that size is allocated
+    class Planed(Exception):
+        pass
+
+    def no_plane(*args):
+        raise Planed
+
+    monkeypatch.setattr(qae, "_plane", no_plane)
+    spec = GroverSpec.from_config("11", 3)
+    with pytest.raises(Planed):
+        qae._qae_sweep(two_node, 3, spec, [(21, 0)], 10)
+    for pairs in ([(22, 0)], [(21, 0), (21, 1)], [(3, 0), (40, 1)], [(3, 0), (1100, 1)]):
+        with pytest.raises(ResourceLimitError):
+            qae._qae_sweep(two_node, 3, spec, pairs, 10)
 
 
 @pytest.mark.parametrize("spec", [GroverSpec(3, ((5, 0),)), GroverSpec(4, ((1, 1),))],
@@ -192,7 +210,7 @@ def test_eigenphase_degenerate_cases():
 def test_grover_plane_peaks_within_its_byte_budget_factor(k, horizon):
     model = random_model(np.random.default_rng(k), k)
     spec = GroverSpec.from_config("1" * k, horizon)
-    peak = traced_peak(lambda: qae._plane(model, horizon, spec, qubit_cap=20))
+    peak = traced_peak(lambda: qae._plane(model, horizon, spec))
     assert peak < sim._RUN_PEAK * (16 << (k * horizon))
 
 
@@ -216,6 +234,6 @@ def test_grover_plane_with_mapped_parts_peaks_within_its_byte_budget_factor(
     # every state sim._zeros makes at this size is such a mapping, whichever
     # module calls it
     monkeypatch.setattr(mmap, "mmap", counted_mapping)
-    peak = traced_peak(lambda: qae._plane(model, horizon, spec, qubit_cap=20))
+    peak = traced_peak(lambda: qae._plane(model, horizon, spec))
     assert lengths == [8 << n]
     assert peak + (8 << n) < sim._RUN_PEAK * (16 << n)

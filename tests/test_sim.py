@@ -42,16 +42,32 @@ def test_state_dtype_follows_the_phase_gates(two_node):
 
 
 def test_resource_limit():
-    with pytest.raises(ResourceLimitError):
-        run(Circuit(21, ()))
-    # 16 * 2^27 bytes is past the dense byte budget; raised before allocating
-    with pytest.raises(ResourceLimitError):
-        run(Circuit(27, ()), qubit_cap=40)
-    # a 25-qubit state fits, but a run peaks at about 2.6 states
-    with pytest.raises(ResourceLimitError):
-        run(Circuit(25, ()), qubit_cap=40)
+    # the byte budget is the only size limit: a run peaks at _RUN_PEAK states,
+    # 678 MiB at 24 qubits and past the 1 GiB budget from 25 on
+    sim.check_run_size(24)
+    for n in (25, 27, 62, 63, 1100):
+        with pytest.raises(ResourceLimitError):
+            sim.check_run_size(n)
+    # refused before allocating
+    for n in (25, 27):
+        with pytest.raises(ResourceLimitError):
+            run(Circuit(n, ()))
     with pytest.raises(ResourceLimitError):
         extract_unitary(Circuit(11, ()))
+
+
+def test_runs_to_24_qubits_pass_the_budget(monkeypatch):
+    # 21 to 24 qubits pass the budget; the allocation is stubbed out
+    class Allocated(Exception):
+        pass
+
+    def no_zeros(size, dtype):
+        raise Allocated(size)
+
+    monkeypatch.setattr(sim, "_zeros", no_zeros)
+    for n in (21, 24):
+        with pytest.raises(Allocated):
+            run(Circuit(n, ()))
 
 
 def _complex_run(circuit):
@@ -334,6 +350,30 @@ def test_extract_unitary_basics():
     expected = np.array([[math.cos(theta / 2), -math.sin(theta / 2)],
                          [math.sin(theta / 2), math.cos(theta / 2)]])
     assert np.max(np.abs(ry - expected)) < 1e-15
+
+
+def _unitary_by_columns(circuit):
+    """The circuit's matrix one basis column through the whole-state kernel
+    at a time: the reference for extract_unitary's single pass."""
+    n = circuit.n_qubits
+    matrix = np.empty((1 << n, 1 << n), dtype=complex)
+    for j in range(1 << n):
+        column = np.zeros(1 << n, dtype=complex)
+        column[j] = 1.0
+        matrix[:, j] = apply_gates(column, circuit.gates, n)
+    return matrix
+
+
+def test_extract_unitary_is_the_column_by_column_matrix():
+    rng = np.random.default_rng(17)
+    phased = Circuit(3, (Gate("h", (0,)), Gate("ry", (2,), angle=0.4),
+                         Gate("phase", (1,), controls=((0, 1), (2, 0)), angle=0.9),
+                         Gate("phase", (0,), angle=-1.3), Gate("s0", (0, 1, 2))))
+    for circuit in (build_grover(random_model(rng, 2), 3, GroverSpec.from_config("1*", 3)),
+                    build_grover(random_model(rng, 3), 2, GroverSpec.from_config("10*", 2)),
+                    phased):
+        assert circuit.n_qubits <= 6
+        assert np.array_equal(extract_unitary(circuit), _unitary_by_columns(circuit))
 
 
 def test_grover_unitarity_via_extraction(two_node):
