@@ -18,6 +18,11 @@ listing's UTF-8 bytes and the build and emit seconds. With ``--gates-out`` the l
 ``plotdata`` instead emits CSV series extracted from a previously written
 report.
 
+A report is written as ``json.dumps(report, indent=2, sort_keys=True)``
+would write it, but by ``_dumps``: ``indent`` sends json to its pure-Python
+encoder, so ``_dumps`` hands every container that holds no container, such
+as an ``exact`` table of 1,024 entries, to the C encoder in one call.
+
 Exit codes: 0 success, 1 validation/parse problems, 2 resource limit,
 3 fit divergence.
 """
@@ -44,7 +49,7 @@ from .errors import (
     ValidationError,
     check_dense_bytes,
 )
-from .exact import evaluate, marginal
+from .exact import _labeler, evaluate, marginal
 from .lowdepth import (
     FitResult,
     LowDepthTrace,
@@ -56,7 +61,7 @@ from .lowdepth import (
     trace_from_text,
 )
 from .mc import evaluate_mc
-from .model import format_config, load_model
+from .model import load_model
 from .qae import _qae_sweep, grover_eigenphase
 
 _CURVE_STEP = 0.05
@@ -91,7 +96,7 @@ def main(argv=None) -> int:
             }
             if metrics is not None:
                 report["metrics"] = metrics
-            payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            payload = _dumps(report) + "\n"
         _write(payload, args.out)
     except CascadeqError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
@@ -102,6 +107,32 @@ def main(argv=None) -> int:
         print(f"error (io): {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _dumps(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``level``,
+    for str-keyed dicts, lists, tuples and JSON scalars, as reports hold.
+
+    A container that holds no container is one C-encoder call whose item
+    separator carries the newline and the indent; only containers of
+    containers recurse."""
+    if type(value) not in _CONTAINERS or not value:
+        return json.dumps(value)
+    is_dict = type(value) is dict
+    pad = "\n" + "  " * (level + 1)
+    if _CONTAINERS.isdisjoint(map(type, value.values() if is_dict else value)):
+        body = json.dumps(value, sort_keys=True, separators=("," + pad, ": "))[1:-1]
+    elif is_dict:
+        body = ("," + pad).join([json.dumps(key) + ": " + _dumps(value[key], level + 1)
+                                 for key in sorted(value)])
+    else:
+        body = ("," + pad).join([_dumps(item, level + 1) for item in value])
+    # one join: a concatenation chain would hold two copies of a long body
+    brackets = "{}" if is_dict else "[]"
+    return "".join((brackets[0], pad, body, pad[:-2], brackets[1]))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -212,13 +243,13 @@ def _cmd_mc(args):
     repeats = [evaluate_mc(model, args.steps, args.runs, seed=(args.seed, rep))
                for rep in range(args.repeats)]
     sample_s = time.perf_counter() - started
-    k = model.k
+    label = _labeler(model.k, args.runs)
     results = {
         "runs": args.runs,
         "repeats": [
             {
-                "counts": {format_config(c, k): n for c, n in sorted(r.counts.items())},
-                "estimates": {format_config(c, k): e for c, e in sorted(r.estimates.items())},
+                "counts": {label(c): n for c, n in sorted(r.counts.items())},
+                "estimates": {label(c): e for c, e in sorted(r.estimates.items())},
             }
             for r in repeats
         ],
@@ -228,7 +259,7 @@ def _cmd_mc(args):
         estimates = [r.estimates for r in repeats]
         seen = sorted(set().union(*estimates))
         results["spread"] = {
-            format_config(c, k): float(np.std([e.get(c, 0.0) for e in estimates]))
+            label(c): float(np.std([e.get(c, 0.0) for e in estimates]))
             for c in seen
         }
     inputs = {"model": args.model, "steps": args.steps, "runs": args.runs,

@@ -80,8 +80,16 @@ class LowDepthTrace:
     marked: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", tuple(int(x) for x in self.schedule))
-        object.__setattr__(self, "shots", tuple(int(x) for x in self.shots))
+        # operator.index, not int: a power or shot count of 1.5 is refused, not truncated
+        try:
+            object.__setattr__(self, "schedule", tuple(map(operator.index, self.schedule)))
+        except TypeError:
+            raise ValidationError("schedule powers must be integers",
+                                  code="invalid-schedule") from None
+        try:
+            object.__setattr__(self, "shots", tuple(map(operator.index, self.shots)))
+        except TypeError:
+            raise ValidationError("shots must be integers", code="invalid-shots") from None
         object.__setattr__(self, "marked", tuple(float(x) for x in self.marked))
         if not self.schedule:
             raise ValidationError("schedule must be nonempty", code="invalid-schedule")
@@ -156,7 +164,7 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
     every power or a sequence of one per power; shots past 2^53 are refused
     before the model runs.
     """
-    schedule = tuple(int(l) for l in schedule)
+    schedule = tuple(schedule)
     try:
         per_shots = (tuple(map(operator.index, shots)) if np.iterable(shots)
                      else (operator.index(shots),) * len(schedule))
@@ -166,7 +174,8 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
     if len(per_shots) != len(schedule):
         raise ValidationError("one shot count per schedule entry required",
                               code="invalid-shots")
-    LowDepthTrace(schedule, per_shots, (0,) * len(schedule))  # its checks, before the run
+    # the trace's checks, before the run; it takes the powers as integers
+    schedule = LowDepthTrace(schedule, per_shots, (0,) * len(schedule)).schedule
     if max(per_shots) > _MAX_SHOTS:
         raise ResourceLimitError("a shot count exceeds 2^53, the most a trace's float counts "
                                  "hold exactly")

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadeq import (FitDivergedError, NetworkModel, ResourceLimitError, parse_gates,
                       save_model)
@@ -70,6 +72,58 @@ def test_mc_reports_are_bit_identical(capsys, fixtures_dir):
     assert metrics["p_on_rows"] == 3 * 4  # one table of the 4 configurations a repeat
     assert metrics["sample_s"] > 0.0
     assert metrics["trajectories_per_s"] == pytest.approx(3 * 20000 / metrics["sample_s"])
+
+
+@pytest.mark.parametrize("args", [
+    ("exact", "--model", "{model}", "--steps", "3"),
+    ("mc", "--model", "{model}", "--steps", "3", "--runs", "2000", "--repeats", "2"),
+    ("circuit", "--model", "{model}", "--steps", "3", "--kind", "qae", "--config", "11",
+     "--bits", "3"),
+    ("circuit", "--model", "{model}", "--steps", "3", "--kind", "grover", "--config", "11",
+     "--gates-out", "{tmp}/gates.txt"),
+    ("qae", "--model", "{model}", "--steps", "3", "--config", "11", "--bits", "3..5"),
+    ("qae", "--model", "{model}", "--steps", "3", "--config", "11", "--eigenphase"),
+    ("lowdepth", "--model", "{model}", "--steps", "3", "--config", "11", "--shots", "100",
+     "--seed", "1"),
+    ("fit", "--trace", "{fixtures}/trace_1node_device_t3.csv"),
+], ids=["exact", "mc-repeats", "circuit", "circuit-gates-out", "qae", "qae-eigenphase",
+        "lowdepth", "fit"])
+def test_report_is_written_as_json_indent_2(capsys, fixtures_dir, tmp_path, monkeypatch, args):
+    # the report object _dumps is given, and the file written from it, are
+    # exactly what json.dumps(indent=2, sort_keys=True) makes of that object
+    reports = []
+    dumps = cli._dumps
+
+    def record(value, level=0):
+        if level == 0:
+            reports.append(value)
+        return dumps(value, level)
+
+    monkeypatch.setattr(cli, "_dumps", record)
+    args = [arg.format(model=fixtures_dir / "two_node_model.json", fixtures=fixtures_dir,
+                       tmp=tmp_path) for arg in args]
+    out = tmp_path / "report.json"
+    assert main([*args, "--out", str(out)]) == 0, capsys.readouterr().err
+    [report] = reports
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert dumps(report) + "\n" == expected
+    assert out.read_text(encoding="utf-8") == expected
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.floats() | st.integers(-10 ** 40, 10 ** 40)
+                 | st.text(max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_equals_json_indent_2_property(value):
+    # floats include inf and NaN, text non-ASCII characters, containers empty ones
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_circuit_gate_listing_round_trips(capsys, fixtures_dir, tmp_path):
@@ -293,8 +347,13 @@ def test_plotdata_spread_and_bits(capsys, fixtures_dir, tmp_path):
                                         "marked": [3, 0]}}}),
     ("schedule", {"results": {"trace": {"schedule": [0, float("inf")], "shots": [10, 10],
                                         "marked": [3, 4]}}}),
+    ("schedule", {"results": {"trace": {"schedule": [0, 1.5], "shots": [10, 10],
+                                        "marked": [3, 4]}}}),
+    ("schedule", {"results": {"trace": {"schedule": [0, 1], "shots": [10.8, 10],
+                                        "marked": [3, 4]}}}),
 ], ids=["top-level-list", "repeat-without-estimates", "sweep-without-probability",
-        "trace-without-counts", "trace-misaligned", "trace-zero-shots", "trace-infinite-power"])
+        "trace-without-counts", "trace-misaligned", "trace-zero-shots", "trace-infinite-power",
+        "trace-fractional-power", "trace-fractional-shots"])
 def test_plotdata_malformed_report_exits_1(capsys, tmp_path, figure, report):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeq import NetworkModel, ValidationError, evaluate, marginal
+from cascadeq import (DistributionTable, NetworkModel, ValidationError, evaluate, format_config,
+                      marginal)
 from cascadeq.exact import _FOLD_PEAK, _step_matrix
 from helpers import enumerate_distribution, random_model, step_probability, traced_peak
 
@@ -123,6 +124,43 @@ def test_marginal_validation(two_node):
         marginal(table, [1, 1], [0, 1])
     with pytest.raises(ValidationError):
         marginal(table, [1], [2])
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_tables_equal_the_per_entry_conversion(k):
+    # each table holds the nonzero entries of dist @ T^t, keyed by Python int
+    # in ascending order with Python float values; half the models leave
+    # node 1 unable to fail, so their tables miss configurations
+    rng = np.random.default_rng(k)
+    model = random_model(rng, k)
+    if k % 2:
+        p_trigger = tuple(tuple(0.0 if n == 0 else p for n, p in enumerate(row))
+                          for row in model.p_trigger)
+        model = NetworkModel((0.0,) + model.p_fail[1:], model.p_recover, p_trigger)
+    horizon = 2
+    tables = evaluate(model, horizon)
+    matrix = _step_matrix(model)
+    dist = np.zeros(1 << k)
+    dist[0] = 1.0
+    for table in tables[1:]:
+        dist = dist @ matrix
+        expected = {int(c): float(dist[c]) for c in np.flatnonzero(dist)}
+        assert list(table.probs.items()) == list(expected.items())
+        assert all(type(c) is int and type(p) is float for c, p in table.probs.items())
+    if k % 2:
+        assert len(tables[horizon].probs) < 1 << k
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_by_string_equals_format_config_labels(k):
+    # full tables and tables missing configurations, keys inserted out of order
+    rng = np.random.default_rng(100 + k)
+    for size in (1 << k, max(1, (1 << k) // 3), 1):
+        configs = rng.permutation(1 << k)[:size].tolist()
+        probs = {c: float(p) for c, p in zip(configs, rng.random(size))}
+        table = DistributionTable(k, probs)
+        expected = {format_config(c, k): p for c, p in sorted(probs.items())}
+        assert list(table.by_string().items()) == list(expected.items())
 
 
 def test_horizon_zero_allowed(two_node):

@@ -177,6 +177,22 @@ def test_trace_validation():
         LowDepthTrace((), (), ())
 
 
+def test_trace_refuses_fractional_powers_and_shots(one_node):
+    # they are refused, not truncated to integers
+    with pytest.raises(ValidationError) as info:
+        LowDepthTrace([0, 1.9], [10, 10], [3, 4])
+    assert info.value.code == "invalid-schedule"
+    with pytest.raises(ValidationError) as info:
+        LowDepthTrace([0, 1], [10.8, 10], [3, 4])
+    assert info.value.code == "invalid-shots"
+    with pytest.raises(ValidationError) as info:
+        run_schedule(one_node, 1, GroverSpec.from_config("1", 1), [0, 1.5], 10)
+    assert info.value.code == "invalid-schedule"
+    trace = LowDepthTrace(np.arange(3), [np.int64(10)] * 3, [1, 2, 3])
+    assert trace.schedule == (0, 1, 2) and trace.shots == (10, 10, 10)
+    assert all(type(x) is int for x in trace.schedule + trace.shots)
+
+
 def test_trace_round_trip():
     trace = LowDepthTrace((0, 1, 2), (30, 30, 30), (5, 29, 26))
     assert trace_from_text(trace_to_text(trace)) == trace
