@@ -41,7 +41,6 @@ from .model import (
     load_model,
     parse_config,
     save_model,
-    validate,
 )
 from .qae import EigenphaseResult, QaeResult, decode_outcome, grover_eigenphase, run_standard_qae
 from .sim import probabilities, run

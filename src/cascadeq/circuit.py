@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError, check_dense_bytes
-from .model import NetworkModel, p_on, validate
+from .model import NetworkModel, _p_on_failed
 
 __all__ = [
     "Gate",
@@ -241,18 +241,15 @@ def _corrections(model: NetworkModel, node: int, init: float) -> list[tuple[tupl
     the no-ancestor-failed value needs no gate.
     """
     ancestors = _ancestors(model, node)
-    # p_on on the sub-model of the node and its ancestors, in node order, so
-    # configurations need |A| + 1 bits whatever k is and the products match
-    keep = sorted(ancestors + [node])
-    sub = NetworkModel(tuple(model.p_fail[m] for m in keep),
-                       tuple(model.p_recover[m] for m in keep),
-                       tuple(tuple(model.p_trigger[a][b] for b in keep) for a in keep))
-    bit = {m: 1 << i for i, m in enumerate(keep)}
-    configs = [sum(bit[m] for j, m in enumerate(ancestors) if (pattern >> j) & 1)
-               for pattern in range(1 << len(ancestors))]
-    p_failed, *p_good = p_on(sub, np.array([bit[node]] + configs))[:, keep.index(node)].tolist()
+    # the node failed, then each pattern of failed ancestors: p_on multiplies
+    # the same factors in node order as on the node and its ancestors alone
+    patterns = 1 << len(ancestors)
+    failed = np.zeros((1 + patterns, model.k), dtype=bool)
+    failed[0, node] = True
+    failed[1:, ancestors] = (np.arange(patterns)[:, None] >> np.arange(len(ancestors))) & 1 == 1
+    p_failed, *p_good = _p_on_failed(model, failed, [node])[:, 0].tolist()
     out = [(((node, 1),), 2.0 * math.asin(math.sqrt(p_failed)) - init)]
-    for pattern in range(1, len(configs)):
+    for pattern in range(1, patterns):
         if p_good[pattern] != p_good[0]:
             controls = ((node, 0),) + tuple((m, (pattern >> j) & 1) for j, m in enumerate(ancestors))
             out.append((controls, 2.0 * math.asin(math.sqrt(p_good[pattern])) - init))
@@ -273,7 +270,6 @@ def build_model_circuit(model: NetworkModel, horizon: int) -> Circuit:
     2*arcsin(sqrt(p_on)) - 2*arcsin(sqrt(p_fail)). A circuit whose gate
     count bound passes the byte budget is refused before it is built.
     """
-    validate(model)
     if horizon < 1:
         raise ValidationError("horizon must be >= 1", code="invalid-horizon")
     _check_gate_count(_model_gate_bound(model, horizon), "the model circuit")
@@ -383,7 +379,6 @@ def build_qae_circuit(model: NetworkModel, horizon: int, spec: GroverSpec,
     """
     if bits < 1:
         raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
-    validate(model)
     if horizon < 1:
         raise ValidationError("horizon must be >= 1", code="invalid-horizon")
     model_gates = _model_gate_bound(model, horizon)

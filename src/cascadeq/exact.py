@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, check_dense_bytes
-from .model import NetworkModel, format_config, p_on, validate
+from .model import NetworkModel, format_config, p_on
 
 __all__ = ["DistributionTable", "evaluate", "marginal"]
 
@@ -36,11 +36,16 @@ _FOLD_PEAK = 1.05
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Probability of each configuration at one time step; configurations
-    with probability 0 are left out."""
+    """Probability of each configuration 0..2^k - 1 at one time step;
+    configurations with probability 0 are left out."""
 
     k: int
     probs: dict[int, float]
+
+    def __post_init__(self):
+        if self.probs and (min(self.probs) < 0 or max(self.probs) >= 1 << self.k):
+            raise ValidationError(f"a configuration key lies outside 0..{(1 << self.k) - 1}",
+                                  code="invalid-configuration")
 
     def probability(self, config: int) -> float:
         return self.probs.get(config, 0.0)
@@ -92,7 +97,6 @@ def _step_matrix(model: NetworkModel) -> np.ndarray:
 
 def evaluate(model: NetworkModel, horizon: int) -> list[DistributionTable]:
     """Distributions for t = 0..horizon; t=0 is all-good with probability 1."""
-    validate(model)
     if horizon < 0:
         raise ValidationError("horizon must be >= 0", code="invalid-horizon")
     check_dense_bytes(int(_FOLD_PEAK * 8 * 4 ** model.k),

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .model import NetworkModel, p_on, seed_tuple, validate
+from .model import NetworkModel, p_on, seed_tuple
 
 __all__ = ["McResult", "evaluate_mc", "CHUNK_SIZE"]
 
@@ -108,7 +108,6 @@ def evaluate_mc(model: NetworkModel, horizon: int, runs: int, seed) -> McResult:
     a given (seed, runs) regardless of worker count because each fixed-size
     chunk owns an independent seeded stream.
     """
-    validate(model)
     if runs < 1:
         raise ValidationError("runs must be >= 1", code="invalid-runs")
     if horizon < 0:

@@ -1,4 +1,4 @@
-"""Network model definition, validation, and serialization.
+"""Network model definition and serialization.
 
 A network has ``k`` nodes labelled 1..k. Each node is either good (0) or
 failed (1). Per time step, a failed node recovers with probability
@@ -13,6 +13,7 @@ node 2 failed and node 1 good.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -23,7 +24,6 @@ from .errors import ParseError, ValidationError
 
 __all__ = [
     "NetworkModel",
-    "validate",
     "p_on",
     "load_model",
     "save_model",
@@ -34,12 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable parameter set of a probabilistic failure network.
+    """Immutable parameter set of a probabilistic failure network, valid once it exists.
 
     ``p_trigger[m][n]`` (0-based tuples) is the probability that node m+1,
-    failed in the previous step, triggers node n+1. The diagonal must be 0.
-    ``names`` are the external node labels used by the file format; they
-    default to "1".."k".
+    failed in the previous step, triggers node n+1. ``names`` are the node
+    labels of the file format, "1".."k" by default. Construction stores each
+    probability as a float, or raises ValidationError: ``empty-model``,
+    ``shape-mismatch``, ``duplicate-node-name``, ``probability-out-of-range``
+    (also for a value that is not a number) or ``nonzero-self-trigger``.
     """
 
     p_fail: tuple[float, ...]
@@ -48,15 +50,27 @@ class NetworkModel:
     names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "p_fail", tuple(float(x) for x in self.p_fail))
-        object.__setattr__(self, "p_recover", tuple(float(x) for x in self.p_recover))
-        object.__setattr__(
-            self, "p_trigger", tuple(tuple(float(x) for x in row) for row in self.p_trigger)
-        )
-        if not self.names:
-            object.__setattr__(self, "names", tuple(str(i + 1) for i in range(len(self.p_fail))))
-        else:
-            object.__setattr__(self, "names", tuple(str(x) for x in self.names))
+        k = _length(self.p_fail)
+        if k < 1:
+            raise ValidationError("model must have at least one node", code="empty-model")
+        object.__setattr__(self, "names", tuple(map(str, self.names or range(1, k + 1))))
+        if _length(self.p_recover) != k or len(self.names) != k:
+            raise ValidationError("p_recover and names must have one entry per node",
+                                  code="shape-mismatch")
+        if _length(self.p_trigger) != k or any(_length(row) != k for row in self.p_trigger):
+            raise ValidationError(f"p_trigger must be a {k}x{k} matrix", code="shape-mismatch")
+        if len(set(self.names)) != k:
+            raise ValidationError("node names must be unique", code="duplicate-node-name")
+        object.__setattr__(self, "p_fail", _probabilities(self.p_fail, "p_fail"))
+        object.__setattr__(self, "p_recover", _probabilities(self.p_recover, "p_recover"))
+        object.__setattr__(self, "p_trigger", tuple(_probabilities(row, "p_trigger", m)
+                                                    for m, row in enumerate(self.p_trigger)))
+        for m in range(k):
+            if self.p_trigger[m][m] != 0.0:
+                raise ValidationError(
+                    f"p_trigger[{m + 1}][{m + 1}] must be 0: a node cannot trigger itself",
+                    code="nonzero-self-trigger",
+                )
 
     @property
     def k(self) -> int:
@@ -79,44 +93,29 @@ class NetworkModel:
                     f"trigger ({m},{n}) references a node outside 1..{k}",
                     code="invalid-node-index",
                 )
-            matrix[m - 1][n - 1] = float(p)
-        return cls(tuple(p_fail), tuple(p_recover), tuple(tuple(r) for r in matrix),
-                   tuple(names) if names else ())
+            matrix[m - 1][n - 1] = p
+        return cls(p_fail, p_recover, matrix, names or ())
 
 
-def _check_probability(value: float, what: str) -> None:
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-        raise ValidationError(f"{what} = {value!r} is not a probability in [0, 1]",
-                              code="probability-out-of-range")
+def _length(values) -> int:
+    return len(values) if hasattr(values, "__len__") else -1
 
 
-def validate(model: NetworkModel) -> None:
-    """Raise ValidationError unless every model invariant holds.
-
-    Error codes: ``empty-model``, ``probability-out-of-range``,
-    ``nonzero-self-trigger``, ``shape-mismatch``.
-    """
-    k = model.k
-    if k < 1:
-        raise ValidationError("model must have at least one node", code="empty-model")
-    if len(model.p_recover) != k or len(model.names) != k:
-        raise ValidationError("p_recover and names must have one entry per node",
-                              code="shape-mismatch")
-    if len(model.p_trigger) != k or any(len(row) != k for row in model.p_trigger):
-        raise ValidationError(f"p_trigger must be a {k}x{k} matrix", code="shape-mismatch")
-    if len(set(model.names)) != k:
-        raise ValidationError("node names must be unique", code="duplicate-node-name")
-    for i in range(k):
-        _check_probability(model.p_fail[i], f"p_fail[{i + 1}]")
-        _check_probability(model.p_recover[i], f"p_recover[{i + 1}]")
-    for m in range(k):
-        for n in range(k):
-            _check_probability(model.p_trigger[m][n], f"p_trigger[{m + 1}][{n + 1}]")
-        if model.p_trigger[m][m] != 0.0:
-            raise ValidationError(
-                f"p_trigger[{m + 1}][{m + 1}] must be 0: a node cannot trigger itself",
-                code="nonzero-self-trigger",
-            )
+def _probabilities(values, name: str, *index: int) -> tuple[float, ...]:
+    """Each entry of ``values`` as a float; the first that is not a number in
+    [0, 1] raises ValidationError (``probability-out-of-range``)."""
+    out = []
+    for n, value in enumerate(values):
+        try:
+            p = float(value)
+        except (TypeError, ValueError):
+            p = math.nan
+        if not 0.0 <= p <= 1.0:
+            where = "".join(f"[{i + 1}]" for i in (*index, n))
+            raise ValidationError(f"{name}{where} = {value!r} is not a probability in [0, 1]",
+                                  code="probability-out-of-range")
+        out.append(p)
+    return tuple(out)
 
 
 def p_on(model: NetworkModel, configs: np.ndarray) -> np.ndarray:
@@ -129,11 +128,18 @@ def p_on(model: NetworkModel, configs: np.ndarray) -> np.ndarray:
     nodes m, multiplied in node order.
     """
     failed = (np.asarray(configs, dtype=np.int64)[..., None] >> np.arange(model.k)) & 1 == 1
-    p_off = np.broadcast_to(1.0 - np.asarray(model.p_fail), failed.shape).copy()
-    trigger = np.asarray(model.p_trigger)
+    return _p_on_failed(model, failed)
+
+
+def _p_on_failed(model: NetworkModel, failed: np.ndarray, nodes=slice(None)) -> np.ndarray:
+    """:func:`p_on` for ``nodes`` alone, of configurations given unpacked as
+    ``failed``, True at each failed node: k may pass the 63 bits of an int64."""
+    p_off = np.broadcast_to(1.0 - np.asarray(model.p_fail)[nodes],
+                            failed[..., nodes].shape).copy()
+    trigger = np.asarray(model.p_trigger)[:, nodes]
     for m in range(model.k):
         np.multiply(p_off, 1.0 - trigger[m], out=p_off, where=failed[..., m, None])
-    return np.where(failed, 1.0 - np.asarray(model.p_recover), 1.0 - p_off)
+    return np.where(failed[..., nodes], 1.0 - np.asarray(model.p_recover)[nodes], 1.0 - p_off)
 
 
 def seed_tuple(seed) -> tuple[int, ...]:
@@ -235,15 +241,11 @@ def load_model(text: str) -> NetworkModel:
             raise ParseError(f"trigger entry {i}: duplicate edge {trig['from']!r}->{trig['to']!r}")
         seen.add((m, n))
         matrix[m][n] = _require_number(trig["p"], f"trigger entry {i}: 'p'")
-    model = NetworkModel(tuple(p_fail), tuple(p_recover),
-                         tuple(tuple(row) for row in matrix), tuple(names))
-    validate(model)
-    return model
+    return NetworkModel(p_fail, p_recover, matrix, names)
 
 
 def save_model(model: NetworkModel) -> str:
-    """Serialize a validated model; only nonzero triggers are written."""
-    validate(model)
+    """Serialize a model; only nonzero triggers are written."""
     doc = {
         "nodes": [
             {"name": model.names[i], "p_fail": model.p_fail[i], "p_recover": model.p_recover[i]}

@@ -8,6 +8,9 @@ simulator's gate kernel over a whole state in circuit order, and
 tests that check the simulator's gates and the circuit builders against
 each other.
 :func:`plain_emit` reuses the package's line format, one gate at a time.
+:func:`sub_model_gates` applies the package's ``p_on`` to a model of each
+node and its trigger ancestors alone, the model circuit builder's former
+form, to check the builder's gates against.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import numpy as np
 
 from cascadeq import Circuit, Gate, NetworkModel, ResourceLimitError, sim
 from cascadeq.circuit import _emit_line, _lower
+from cascadeq.model import p_on
 
 
 def stay_good_probability(model: NetworkModel, prev: int, n: int) -> float:
@@ -112,6 +116,43 @@ def random_model(rng: np.random.Generator, k: int) -> NetworkModel:
     np.fill_diagonal(trigger, 0.0)
     return NetworkModel(tuple(p_fail), tuple(p_recover),
                         tuple(tuple(row) for row in trigger))
+
+
+def _sub_model_corrections(model: NetworkModel, node: int, init: float) -> list:
+    """(controls, angle) of the corrections of ``node`` (0-based), from
+    ``p_on`` on the sub-model of the node and its trigger ancestors."""
+    ancestors = [m for m in range(model.k) if model.p_trigger[m][node] > 0.0]
+    keep = sorted(ancestors + [node])
+    sub = NetworkModel(tuple(model.p_fail[m] for m in keep),
+                       tuple(model.p_recover[m] for m in keep),
+                       tuple(tuple(model.p_trigger[a][b] for b in keep) for a in keep))
+    bit = {m: 1 << i for i, m in enumerate(keep)}
+    configs = [sum(bit[m] for j, m in enumerate(ancestors) if (pattern >> j) & 1)
+               for pattern in range(1 << len(ancestors))]
+    p_failed, *p_good = p_on(sub, np.array([bit[node]] + configs))[:, keep.index(node)].tolist()
+    out = [(((node, 1),), 2.0 * math.asin(math.sqrt(p_failed)) - init)]
+    for pattern in range(1, len(configs)):
+        if p_good[pattern] != p_good[0]:
+            controls = ((node, 0),) + tuple((m, (pattern >> j) & 1) for j, m in enumerate(ancestors))
+            out.append((controls, 2.0 * math.asin(math.sqrt(p_good[pattern])) - init))
+    return out
+
+
+def sub_model_gates(model: NetworkModel, horizon: int) -> list[Gate]:
+    """The gates of ``build_model_circuit(model, horizon)`` in its former
+    form: every init rotation, then per transition and node the corrections
+    that ``p_on`` gives on a sub-model of the node and its trigger ancestors."""
+    k = model.k
+    init = [2.0 * math.asin(math.sqrt(p)) for p in model.p_fail]
+    gates = [Gate("ry", ((t - 1) * k + n,), angle=init[n])
+             for t in range(1, horizon + 1) for n in range(k)]
+    for t in range(1, horizon):
+        for n in range(k):
+            for controls, angle in _sub_model_corrections(model, n, init[n]):
+                gates.append(Gate("ry", (t * k + n,),
+                                  tuple(((t - 1) * k + m, pol) for m, pol in controls),
+                                  angle=angle))
+    return gates
 
 
 def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:

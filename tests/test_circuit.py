@@ -20,7 +20,7 @@ from cascadeq import (
 )
 from cascadeq.circuit import (_GATE_PEAK, _emit_line, _lower, controlled_gates, inverse_gates,
                               inverse_qft_gates)
-from helpers import extract_unitary, plain_emit, traced_peak
+from helpers import extract_unitary, plain_emit, random_model, sub_model_gates, traced_peak
 
 # node 1 never fails on its own, so its init rotation has angle 0.0 and the
 # inverse the Grover operator takes of it has -0.0: equal gates, unequal text
@@ -95,6 +95,26 @@ def test_long_chain_circuit():
                                                           for _ in (0, 1)]]
     init = 2 * math.asin(math.sqrt(0.1))
     assert block[-1].angle == pytest.approx(2 * math.asin(math.sqrt(1 - 0.9 * 0.5)) - init)
+
+
+def test_model_circuit_gates_equal_the_sub_model_form():
+    # angles compared by float.hex, so an angle's sign of zero counts too
+    def key(gate):
+        return gate.kind, gate.targets, gate.controls, float.hex(gate.angle)
+
+    rng = np.random.default_rng(28)
+    for i in range(400):
+        k = 1 + i % 8
+        model = random_model(rng, k)
+        if i % 4 == 3:  # nodes that never fail: a recovery correction of exactly 0
+            model = NetworkModel([0.0] * k, [1.0] * k, model.p_trigger)
+        built = build_model_circuit(model, 2).gates
+        assert [key(g) for g in built] == [key(g) for g in sub_model_gates(model, 2)], i
+    # past the 63 nodes an int64 configuration holds
+    wide = NetworkModel.from_triggers([0.1] * 70, [0.2] * 70,
+                                      {(1, 70): 0.3, (70, 1): 0.4, (64, 70): 0.5, (2, 64): 0.6})
+    assert ([key(g) for g in build_model_circuit(wide, 2).gates]
+            == [key(g) for g in sub_model_gates(wide, 2)])
 
 
 def test_layout_and_register(two_node):

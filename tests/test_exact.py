@@ -163,6 +163,14 @@ def test_by_string_equals_format_config_labels(k):
         assert list(table.by_string().items()) == list(expected.items())
 
 
+@pytest.mark.parametrize("k, probs", [(2, {0: 0.5, 4: 0.5}), (1, {0: 0.5, 2: 0.5}),
+                                      (2, {-1: 1.0})])
+def test_table_refuses_a_configuration_outside_its_nodes(k, probs):
+    with pytest.raises(ValidationError) as err:
+        DistributionTable(k, probs)
+    assert err.value.code == "invalid-configuration"
+
+
 def test_horizon_zero_allowed(two_node):
     tables = evaluate(two_node, 0)
     assert len(tables) == 1 and tables[0].probability(0) == 1.0

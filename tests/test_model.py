@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,42 +14,61 @@ from cascadeq import (
     load_model,
     parse_config,
     save_model,
-    validate,
 )
 from cascadeq.model import p_on
 from helpers import random_model, step_probability
 
 
 def test_validate_accepts_worked_example(two_node):
-    validate(two_node)
+    assert NetworkModel((0.2, 0.7), (0.3, 0.8), ((0.0, 0.2), (0.8, 0.0))) == two_node
 
 
 def test_probability_out_of_range():
-    model = NetworkModel((0.2, 1.5), (0.3, 0.8), ((0.0, 0.2), (0.8, 0.0)))
     with pytest.raises(ValidationError) as err:
-        validate(model)
+        NetworkModel((0.2, 1.5), (0.3, 0.8), ((0.0, 0.2), (0.8, 0.0)))
     assert err.value.code == "probability-out-of-range"
     assert "p_fail[2]" in str(err.value)
 
 
 def test_nonzero_self_trigger():
-    model = NetworkModel((0.2,), (0.3,), ((0.1,),))
     with pytest.raises(ValidationError) as err:
-        validate(model)
+        NetworkModel((0.2,), (0.3,), ((0.1,),))
     assert err.value.code == "nonzero-self-trigger"
 
 
 def test_empty_model():
     with pytest.raises(ValidationError) as err:
-        validate(NetworkModel((), (), ()))
+        NetworkModel((), (), ())
     assert err.value.code == "empty-model"
 
 
 def test_negative_probability_rejected():
-    model = NetworkModel((0.2,), (-0.1,), ((0.0,),))
     with pytest.raises(ValidationError) as err:
-        validate(model)
+        NetworkModel((0.2,), (-0.1,), ((0.0,),))
     assert err.value.code == "probability-out-of-range"
+
+
+_TWO = dict(p_fail=(0.2, 0.7), p_recover=(0.3, 0.8), p_trigger=((0.0, 0.2), (0.8, 0.0)))
+
+
+@pytest.mark.parametrize("fields, code", [
+    ({"p_fail": ("x", 0.7)}, "probability-out-of-range"),
+    ({"p_fail": (None, 0.7)}, "probability-out-of-range"),
+    ({"p_recover": (0.3, math.nan)}, "probability-out-of-range"),
+    ({"p_fail": (0.2, 1.5)}, "probability-out-of-range"),
+    ({"p_trigger": ((0.0, -0.1), (0.8, 0.0))}, "probability-out-of-range"),
+    ({"p_fail": (0.2,), "p_recover": (0.3,), "p_trigger": (0.0,)}, "shape-mismatch"),
+    ({"p_trigger": ((0.0, 0.2), (0.8,))}, "shape-mismatch"),
+    ({"names": ("a",)}, "shape-mismatch"),
+    ({"names": ("a", "a")}, "duplicate-node-name"),
+    ({"p_trigger": ((0.0, 0.2), (0.8, 0.1))}, "nonzero-self-trigger"),
+    ({"p_fail": (), "p_recover": (), "p_trigger": ()}, "empty-model"),
+], ids=["string", "none", "nan", "above-one", "negative", "flat-trigger", "short-row",
+        "names-length", "duplicate-names", "self-trigger", "empty"])
+def test_constructor_refuses_malformed_model(fields, code):
+    with pytest.raises(ValidationError) as err:
+        NetworkModel(**{**_TWO, **fields})
+    assert err.value.code == code
 
 
 def test_load_worked_example(two_node, fixtures_dir):

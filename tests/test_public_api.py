@@ -16,7 +16,7 @@ PUBLIC = {
     "evaluate_mc", "fit_noise_model", "fit_sine", "format_config", "grover_eigenphase",
     "load_model", "marginal", "max_depth", "min_shots", "parse_config", "parse_gates",
     "predict", "probabilities", "run", "run_schedule", "run_standard_qae", "save_model",
-    "trace_from_text", "trace_to_text", "validate",
+    "trace_from_text", "trace_to_text",
 }
 
 
