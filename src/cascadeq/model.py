@@ -50,27 +50,33 @@ class NetworkModel:
     names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        k = _length(self.p_fail)
+        try:
+            p_fail, p_recover = list(self.p_fail), list(self.p_recover)
+            rows = list(map(tuple, self.p_trigger))
+            names = tuple(map(str, self.names or range(1, len(p_fail) + 1)))
+        except TypeError:
+            raise ValidationError("each field must be a sequence", code="shape-mismatch") from None
+        k = len(p_fail)
         if k < 1:
             raise ValidationError("model must have at least one node", code="empty-model")
-        object.__setattr__(self, "names", tuple(map(str, self.names or range(1, k + 1))))
-        if _length(self.p_recover) != k or len(self.names) != k:
+        if len(p_recover) != k or len(names) != k:
             raise ValidationError("p_recover and names must have one entry per node",
                                   code="shape-mismatch")
-        if _length(self.p_trigger) != k or any(_length(row) != k for row in self.p_trigger):
+        if len(rows) != k or any(len(row) != k for row in rows):
             raise ValidationError(f"p_trigger must be a {k}x{k} matrix", code="shape-mismatch")
-        if len(set(self.names)) != k:
+        if len(set(names)) != k:
             raise ValidationError("node names must be unique", code="duplicate-node-name")
-        object.__setattr__(self, "p_fail", _probabilities(self.p_fail, "p_fail"))
-        object.__setattr__(self, "p_recover", _probabilities(self.p_recover, "p_recover"))
-        object.__setattr__(self, "p_trigger", tuple(_probabilities(row, "p_trigger", m)
-                                                    for m, row in enumerate(self.p_trigger)))
-        for m in range(k):
-            if self.p_trigger[m][m] != 0.0:
-                raise ValidationError(
-                    f"p_trigger[{m + 1}][{m + 1}] must be 0: a node cannot trigger itself",
-                    code="nonzero-self-trigger",
-                )
+        for i in range(k):
+            p_fail[i] = _probability(p_fail[i], "p_fail", i)
+            p_recover[i] = _probability(p_recover[i], "p_recover", i)
+        for m, row in enumerate(rows):
+            rows[m] = tuple(_probability(p, "p_trigger", m, n) for n, p in enumerate(row))
+            if rows[m][m] != 0.0:
+                raise ValidationError(f"p_trigger[{m + 1}][{m + 1}] must be 0: a node cannot "
+                                      "trigger itself", code="nonzero-self-trigger")
+        for name, value in (("p_fail", p_fail), ("p_recover", p_recover), ("p_trigger", rows),
+                            ("names", names)):
+            object.__setattr__(self, name, tuple(value))
 
     @property
     def k(self) -> int:
@@ -97,25 +103,18 @@ class NetworkModel:
         return cls(p_fail, p_recover, matrix, names or ())
 
 
-def _length(values) -> int:
-    return len(values) if hasattr(values, "__len__") else -1
-
-
-def _probabilities(values, name: str, *index: int) -> tuple[float, ...]:
-    """Each entry of ``values`` as a float; the first that is not a number in
-    [0, 1] raises ValidationError (``probability-out-of-range``)."""
-    out = []
-    for n, value in enumerate(values):
-        try:
-            p = float(value)
-        except (TypeError, ValueError):
-            p = math.nan
-        if not 0.0 <= p <= 1.0:
-            where = "".join(f"[{i + 1}]" for i in (*index, n))
-            raise ValidationError(f"{name}{where} = {value!r} is not a probability in [0, 1]",
-                                  code="probability-out-of-range")
-        out.append(p)
-    return tuple(out)
+def _probability(value, name: str, *index: int) -> float:
+    """``value`` as a float, or ValidationError (``probability-out-of-range``)
+    if it is not a number in [0, 1]; ``index`` (0-based) names the entry."""
+    try:
+        p = float(value)
+    except (TypeError, ValueError):
+        p = math.nan
+    if not 0.0 <= p <= 1.0:
+        where = "".join(f"[{i + 1}]" for i in index)
+        raise ValidationError(f"{name}{where} = {value!r} is not a probability in [0, 1]",
+                              code="probability-out-of-range")
+    return p
 
 
 def p_on(model: NetworkModel, configs: np.ndarray) -> np.ndarray:
@@ -133,12 +132,13 @@ def p_on(model: NetworkModel, configs: np.ndarray) -> np.ndarray:
 
 def _p_on_failed(model: NetworkModel, failed: np.ndarray, nodes=slice(None)) -> np.ndarray:
     """:func:`p_on` for ``nodes`` alone, of configurations given unpacked as
-    ``failed``, True at each failed node: k may pass the 63 bits of an int64."""
+    ``failed``, True at each failed node: k may pass the 63 bits of an int64.
+    Only the trigger rows of nodes failed in some configuration are read."""
     p_off = np.broadcast_to(1.0 - np.asarray(model.p_fail)[nodes],
                             failed[..., nodes].shape).copy()
-    trigger = np.asarray(model.p_trigger)[:, nodes]
-    for m in range(model.k):
-        np.multiply(p_off, 1.0 - trigger[m], out=p_off, where=failed[..., m, None])
+    for m in np.flatnonzero(failed.reshape(-1, model.k).any(axis=0)):
+        np.multiply(p_off, 1.0 - np.asarray(model.p_trigger[m])[nodes], out=p_off,
+                    where=failed[..., m, None])
     return np.where(failed[..., nodes], 1.0 - np.asarray(model.p_recover)[nodes], 1.0 - p_off)
 
 

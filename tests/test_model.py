@@ -63,12 +63,35 @@ _TWO = dict(p_fail=(0.2, 0.7), p_recover=(0.3, 0.8), p_trigger=((0.0, 0.2), (0.8
     ({"names": ("a", "a")}, "duplicate-node-name"),
     ({"p_trigger": ((0.0, 0.2), (0.8, 0.1))}, "nonzero-self-trigger"),
     ({"p_fail": (), "p_recover": (), "p_trigger": ()}, "empty-model"),
+    ({"p_fail": 0.2}, "shape-mismatch"),
+    ({"names": 5}, "shape-mismatch"),
 ], ids=["string", "none", "nan", "above-one", "negative", "flat-trigger", "short-row",
-        "names-length", "duplicate-names", "self-trigger", "empty"])
+        "names-length", "duplicate-names", "self-trigger", "empty", "scalar-field",
+        "scalar-names"])
 def test_constructor_refuses_malformed_model(fields, code):
     with pytest.raises(ValidationError) as err:
         NetworkModel(**{**_TWO, **fields})
     assert err.value.code == code
+
+
+def test_constructor_takes_iterables():
+    model = NetworkModel(map(float, ("0.2", "0.7")), iter(_TWO["p_recover"]),
+                         (iter(row) for row in _TWO["p_trigger"]), iter("ab"))
+    assert model == NetworkModel(**_TWO, names=("a", "b"))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"p_fail": (0.2, 1.5), "p_recover": (-0.1, 0.8)}, "p_recover[1]"),
+    ({"p_trigger": ((0.0, 0.2), (0.8, 0.1)), "p_fail": (0.2, 1.5)}, "p_fail[2]"),
+    ({"p_trigger": ((0.5, 1.5), (0.8, 0.0))}, "p_trigger[1][2]"),
+    ({"p_trigger": ((0.5, 0.2), (1.5, 0.0))}, "p_trigger[1][1] must be 0"),
+])
+def test_constructor_reports_the_first_fault_in_node_order(fields, message):
+    # per node p_fail then p_recover, then per trigger row its range and
+    # then its self-trigger
+    with pytest.raises(ValidationError) as err:
+        NetworkModel(**{**_TWO, **fields})
+    assert str(err.value).startswith(message)
 
 
 def test_load_worked_example(two_node, fixtures_dir):
