@@ -28,7 +28,7 @@ def main() -> None:
     print("=" * 64)
     print(f"{'config':>6} {'theta':>8} {'lambda+':>18} {'p=sin^2(t/2)':>13} {'exact':>8}")
     for config in ("00", "01", "10", "11"):
-        spec = GroverSpec.from_config(config, horizon)
+        spec = GroverSpec.from_config(config)
         r = grover_eigenphase(model, horizon, spec)
         lam = f"{r.lambda_plus.real:+.3f}{r.lambda_plus.imag:+.3f}i"
         print(f"{config:>6} {r.theta:8.4f} {lam:>18} {r.probability:13.6f}"
@@ -37,7 +37,7 @@ def main() -> None:
     print()
     print("Standard phase estimation for config 11 (exact p = 0.3327)")
     print("=" * 64)
-    spec = GroverSpec.from_config("11", horizon)
+    spec = GroverSpec.from_config("11")
     for bits in (3, 4, 5):
         r = run_standard_qae(model, horizon, spec, bits, shots=4096, seed=bits)
         print(f"bits={bits}: modal outcome {r.modal_outcome:>2} -> "

@@ -20,18 +20,18 @@ from cascadeq import (
 
 def main() -> None:
     model = NetworkModel.from_triggers(p_fail=[0.3], p_recover=[0.1], triggers={})
-    step = 3
-    exact = evaluate(model, step)[step].probability(1)
-    spec = GroverSpec.from_config("1", step)
+    horizon = 3
+    exact = evaluate(model, horizon)[horizon].probability(1)
+    spec = GroverSpec.from_config("1")
     schedule = range(9)
     shots = 2000
 
-    print(f"Single-node model, probability of failed state at t={step}: {exact:.4f}")
+    print(f"Single-node model, probability of failed state at t={horizon}: {exact:.4f}")
     print()
 
     print("Noise-free schedule run")
     print("=" * 60)
-    clean = run_schedule(model, step, spec, schedule, shots, seed=1)
+    clean = run_schedule(model, horizon, spec, schedule, shots, seed=1)
     print("marked counts:", [int(m) for m in clean.marked])
     sine = fit_sine(clean)
     print(f"sine fit: p={sine.probability:.4f} (error {abs(sine.probability - exact):.4f})")
@@ -42,7 +42,7 @@ def main() -> None:
     print(f"Same run with per-Grover scramble probability {noise.per_grover_error:.3f}"
           f" (decay rate a={rate})")
     print("=" * 60)
-    noisy = run_schedule(model, step, spec, schedule, shots, noise=noise, seed=1)
+    noisy = run_schedule(model, horizon, spec, schedule, shots, noise=noise, seed=1)
     print("marked counts:", [int(m) for m in noisy.marked])
     biased = fit_sine(noisy)
     damped = fit_noise_model(noisy)

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError, check_dense_bytes
-from .model import NetworkModel, _p_on_failed
+from .model import NetworkModel, _p_on_failed, index_tuple
 
 __all__ = [
     "Gate",
@@ -166,42 +166,39 @@ class Circuit:
 
 @dataclass(frozen=True)
 class GroverSpec:
-    """What to mark: nodes (1-based) pinned to bits at one time step.
+    """What to mark: nodes (1-based) pinned to bits on the final register.
 
-    ``marked`` lists (node, bit) constraints; a full configuration pins all
-    k nodes, a subset marks the marginal event.
+    ``marked`` lists (node, bit) pairs; a full configuration pins all k
+    nodes, a subset marks the marginal event. A call reads the spec on the
+    register of its ``horizon``, where a node past k is refused.
     """
 
-    target_step: int
     marked: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.target_step < 1:
-            raise ValidationError("target step must be >= 1", code="invalid-horizon")
-        if not self.marked:
-            raise ValidationError("at least one node must be marked", code="invalid-mark")
-        nodes = [n for n, _ in self.marked]
+        try:
+            nodes, bits = zip(*[(node, bit) for node, bit in self.marked])
+        except (TypeError, ValueError):
+            raise ValidationError(f"marked {self.marked!r} is not a nonempty sequence of "
+                                  "(node, bit) pairs", code="invalid-mark") from None
+        nodes = index_tuple(nodes, "marked nodes", "invalid-node-index")
+        if min(nodes) < 1:
+            raise ValidationError(f"marked node {min(nodes)} is below 1", code="invalid-node-index")
         if len(set(nodes)) != len(nodes):
             raise ValidationError("marked nodes must be distinct", code="invalid-mark")
-        if any(b not in (0, 1) for _, b in self.marked):
+        if any(b not in (0, 1) for b in bits):
             raise ValidationError("marked bits must be 0 or 1", code="invalid-mark")
-        object.__setattr__(self, "marked", tuple(sorted(self.marked)))
+        object.__setattr__(self, "marked", tuple(sorted(zip(nodes, map(int, bits)))))
 
     @classmethod
-    def from_config(cls, text: str, step: int) -> "GroverSpec":
+    def from_config(cls, text: str) -> "GroverSpec":
         """Parse a most-significant-node-first pattern; '*' leaves a node free."""
-        k = len(text)
-        marked = []
-        for pos, ch in enumerate(text):
-            node = k - pos
-            if ch == "*":
-                continue
-            if ch not in "01":
-                raise ParseError(f"configuration pattern {text!r} may contain only 0, 1, *")
-            marked.append((node, int(ch)))
+        if set(text) - set("01*"):
+            raise ParseError(f"configuration pattern {text!r} may contain only 0, 1, *")
+        marked = [(len(text) - pos, int(ch)) for pos, ch in enumerate(text) if ch != "*"]
         if not marked:
             raise ValidationError("pattern marks no node", code="invalid-mark")
-        return cls(step, tuple(marked))
+        return cls(tuple(marked))
 
     def matches(self, config):
         """Does a register-local configuration integer satisfy the mark? For
@@ -323,27 +320,15 @@ def _global_minus(qubit: int) -> list[Gate]:
 def build_grover(model: NetworkModel, horizon: int, spec: GroverSpec) -> Circuit:
     """Grover operator for the marked event: -(model) s0 (model)^dagger s_chi."""
     base = build_model_circuit(model, horizon)
-    return Circuit(base.n_qubits, tuple(_grover_gates(model, horizon, spec, base)), base.layout)
+    return Circuit(base.n_qubits, tuple(_grover_gates(horizon, spec, base)), base.layout)
 
 
-def _grover_gates(model: NetworkModel, horizon: int, spec: GroverSpec,
-                  base: Circuit) -> list[Gate]:
-    """The Grover operator's gates around ``base``, the built model circuit."""
-    if spec.target_step > horizon:
-        raise ValidationError(
-            f"target step {spec.target_step} beyond horizon {horizon}", code="invalid-horizon")
-    for n, _ in spec.marked:
-        if not (1 <= n <= model.k):
-            raise ValidationError(f"marked node {n} outside 1..{model.k}",
-                                  code="invalid-node-index")
-    chi = Gate("mark", controls=tuple((base.qubit(n, spec.target_step), b)
-                                      for n, b in spec.marked))
-    gates = [chi]
-    gates += inverse_gates(base.gates)
-    gates.append(Gate("s0", tuple(range(base.n_qubits))))
-    gates += list(base.gates)
-    gates += _global_minus(0)
-    return gates
+def _grover_gates(horizon: int, spec: GroverSpec, base: Circuit) -> list[Gate]:
+    """The Grover operator's gates around ``base``, the built model circuit,
+    marking ``spec`` on the register of ``horizon``."""
+    chi = Gate("mark", controls=tuple((base.qubit(n, horizon), b) for n, b in spec.marked))
+    return [chi, *inverse_gates(base.gates), Gate("s0", tuple(range(base.n_qubits))),
+            *base.gates, *_global_minus(0)]
 
 
 def inverse_qft_gates(qubits: Sequence[int]) -> list[Gate]:
@@ -387,7 +372,7 @@ def build_qae_circuit(model: NetworkModel, horizon: int, spec: GroverSpec,
     _check_gate_count(bits + model_gates + ((1 << bits) - 1) * grover_gates + qft_gates,
                       "the phase-estimation circuit")
     base = build_model_circuit(model, horizon)
-    grover = _grover_gates(model, horizon, spec, base)
+    grover = _grover_gates(horizon, spec, base)
     ancillas = tuple(range(base.n_qubits, base.n_qubits + bits))
     blocks = [([Gate("h", (a,)) for a in ancillas], 1), (base.gates, 1)]
     blocks += [(controlled_gates(grover, a), 1 << j) for j, a in enumerate(ancillas)]

@@ -275,7 +275,7 @@ def _cmd_mc(args):
 def _grover_spec(args, model) -> GroverSpec:
     if args.config is None:
         raise ParseError("this command needs --config")
-    spec = GroverSpec.from_config(args.config, args.steps)
+    spec = GroverSpec.from_config(args.config)
     if len(args.config) != model.k:
         raise ParseError(
             f"--config {args.config!r} has {len(args.config)} positions, model has {model.k} nodes")

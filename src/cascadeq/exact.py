@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, check_dense_bytes
-from .model import NetworkModel, format_config, p_on
+from .model import NetworkModel, format_config, index_tuple, p_on
 
 __all__ = ["DistributionTable", "evaluate", "marginal"]
 
@@ -115,6 +115,7 @@ def evaluate(model: NetworkModel, horizon: int) -> list[DistributionTable]:
 
 def marginal(table: DistributionTable, nodes: Sequence[int], states: Sequence[int]) -> float:
     """Probability that each node in ``nodes`` (1-based) is in its given state."""
+    nodes = index_tuple(nodes, "nodes", "invalid-node-index")
     if len(nodes) == 0:
         raise ValidationError("marginal needs at least one node", code="invalid-node-index")
     if len(set(nodes)) != len(nodes):

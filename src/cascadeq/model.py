@@ -94,6 +94,7 @@ class NetworkModel:
         k = len(p_fail)
         matrix = [[0.0] * k for _ in range(k)]
         for (m, n), p in (triggers or {}).items():
+            m, n = index_tuple((m, n), "trigger nodes", "invalid-node-index")
             if not (1 <= m <= k and 1 <= n <= k):
                 raise ValidationError(
                     f"trigger ({m},{n}) references a node outside 1..{k}",
@@ -155,6 +156,15 @@ def seed_tuple(seed) -> tuple[int, ...]:
         raise ValidationError(f"seed {seed!r} has a negative entry; seeds must be >= 0",
                               code="invalid-seed")
     return seeds
+
+
+def index_tuple(values, what: str, code: str) -> tuple[int, ...]:
+    """Each of ``values`` through ``operator.index``, or ValidationError
+    (``code``) where a float or string would raise a bare TypeError later."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValidationError(f"{what} {values!r} must be integers", code=code) from None
 
 
 # --- configuration encoding -------------------------------------------------

@@ -7,7 +7,7 @@ Tapp, arXiv:quant-ph/0005055), so on the plane of psi's marked and unmarked
 parts it is the rotation by 2a, sin(a) = sqrt(p), p the marked mass, and l
 applications leave psi at (cos((2l+1)a), sin((2l+1)a)) in the basis
 (unmarked, marked) of normalised parts. The low-depth schedule reads the
-same form. The marked event pins nodes of one time-step register, so p is a
+same form. The marked event pins nodes of the final register, so p is a
 sum over that register's 2^k-entry marginal: one model run gives it, no
 second state is made and no Grover gate is simulated. Standard QAE needs no
 phase-estimation circuit: its ancilla distribution is an FFT over that form,
@@ -82,16 +82,16 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
 def _plane(model: NetworkModel, horizon: int, spec: GroverSpec) -> tuple[float, float]:
     """The Grover plane from one model run: (p, residual).
 
-    p and q are the sums of the target-register marginal over its marked
+    p and q are the sums of the final register's marginal over its marked
     and unmarked configurations, and the residual is |1 - p - q|. What
-    ``run`` refuses is refused unbuilt, and a marked node or step outside
-    the layout before the run."""
+    ``run`` refuses is refused unbuilt, and a marked node past k before the
+    run."""
     if horizon >= 1:
         check_run_size(model.k * horizon)
     base = build_model_circuit(model, horizon)
     for node, _ in spec.marked:  # matches() alone would pass a node past k at bit 0
-        base.qubit(node, spec.target_step)
-    dist = probabilities(run(base), base.register(spec.target_step))
+        base.qubit(node, horizon)
+    dist = probabilities(run(base), base.register(horizon))
     mask = spec.matches(np.arange(len(dist)))
     p = float(np.where(mask, dist, 0.0).sum())
     q = float(np.where(mask, 0.0, dist).sum())
@@ -184,7 +184,7 @@ def grover_eigenphase(model: NetworkModel, horizon: int, spec: GroverSpec) -> Ei
 
     The state after the model circuit splits into marked and unmarked
     components; the Grover operator rotates that plane by
-    theta = 2 asin(sqrt(p)), p the marked mass of the target register's
+    theta = 2 asin(sqrt(p)), p the marked mass of the final register's
     marginal. Exact (no sampling), and cheaper than a dense
     eigendecomposition. The residual reports how far that marginal's total
     is from 1; it should be at numerical noise level.

@@ -43,6 +43,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import DENSE_BYTE_BUDGET, ResourceLimitError, ValidationError, check_dense_bytes
+from .model import index_tuple
 
 __all__ = [
     "run",
@@ -241,6 +242,7 @@ def check_run_size(n: int) -> None:
 def probabilities(state: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Marginal distribution over ``qubits``; ``qubits[0]`` is the output LSB."""
     n = _qubit_count(state)
+    qubits = index_tuple(qubits, "qubits", "index-out-of-range")
     _check_qubits(qubits, n)
     parts = (state.real, state.imag) if np.iscomplexobj(state) else (state,)
     views = [part.reshape([2] * n) for part in parts]

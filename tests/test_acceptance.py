@@ -131,7 +131,7 @@ def test_criterion_06_grover_eigenphases_match_published():
         "11": (1.230, 0.335, 0.942),
     }
     for config, (theta, re, im) in published.items():
-        result = grover_eigenphase(TWO_NODE, 3, GroverSpec.from_config(config, 3))
+        result = grover_eigenphase(TWO_NODE, 3, GroverSpec.from_config(config))
         assert result.theta == pytest.approx(theta, abs=1e-3)
         assert result.lambda_plus.real == pytest.approx(re, abs=1e-3)
         assert result.lambda_plus.imag == pytest.approx(im, abs=1e-3)
@@ -150,7 +150,7 @@ def test_criterion_07_decode_grid_and_qae_estimates():
         assert round(got_theta, 3) == theta
         assert round(got_prob, 3) == prob
 
-    spec = GroverSpec.from_config("11", 3)
+    spec = GroverSpec.from_config("11")
     result3 = run_standard_qae(TWO_NODE, 3, spec, 3, shots=4096, seed=7)
     assert result3.probability == pytest.approx(0.500, abs=1e-12)
 
@@ -190,7 +190,7 @@ def test_criterion_09_noise_model_fits_published_count_tables(fixtures_dir):
 
 
 def test_criterion_10_synthetic_noisy_experiment():
-    spec = GroverSpec.from_config("1", 3)
+    spec = GroverSpec.from_config("1")
     noise = NoiseSpec.from_decay_rate(0.977)
     hits = 0
     for seed in range(20):
@@ -210,7 +210,7 @@ def test_criterion_11_property_bundle():
             assert table.total() == pytest.approx(1.0, abs=1e-12)
 
     # unitarity of the Grover operator
-    grover = build_grover(TWO_NODE, 3, GroverSpec.from_config("01", 3))
+    grover = build_grover(TWO_NODE, 3, GroverSpec.from_config("01"))
     matrix = extract_unitary(grover)
     assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(64))) < 1e-9
 

@@ -127,33 +127,60 @@ def test_layout_and_register(two_node):
 
 
 def test_grover_spec_matches_an_array_of_configurations():
-    spec = GroverSpec.from_config("1*0", 2)
+    spec = GroverSpec.from_config("1*0")
     configs = np.arange(8)
     assert spec.matches(configs).tolist() == [spec.matches(int(c)) for c in configs]
     assert spec.matches(configs).tolist() == [False] * 4 + [True, False, True, False]
 
 
 def test_grover_spec_parsing():
-    spec = GroverSpec.from_config("10", 3)
+    spec = GroverSpec.from_config("10")
     assert spec.marked == ((1, 0), (2, 1))
     assert spec.matches(2) and not spec.matches(3)
-    sub = GroverSpec.from_config("1*", 3)
+    sub = GroverSpec.from_config("1*")
     assert sub.marked == ((2, 1),)
     with pytest.raises(ValidationError):
-        GroverSpec.from_config("**", 1)
+        GroverSpec.from_config("**")
     with pytest.raises(ParseError):
-        GroverSpec.from_config("1x", 1)
+        GroverSpec.from_config("1x")
+
+
+@pytest.mark.parametrize("marked, code", [
+    (((0, 1),), "invalid-node-index"),
+    (((-2, 0), (1, 1)), "invalid-node-index"),
+    (((1.5, 1),), "invalid-node-index"),
+    ((("1", 1),), "invalid-node-index"),
+    ((1,), "invalid-mark"),
+    (((1, 1, 0),), "invalid-mark"),
+    (5, "invalid-mark"),
+    ((), "invalid-mark"),
+    (((1, 1), (1, 0)), "invalid-mark"),
+    (((1, 2),), "invalid-mark"),
+], ids=["zero", "negative", "fractional", "string", "bare-node", "triple", "scalar", "empty",
+        "duplicate", "bit-two"])
+def test_grover_spec_refuses_malformed_marks(marked, code):
+    # a node below 1 would reach matches() as a negative shift
+    with pytest.raises(ValidationError) as info:
+        GroverSpec(marked)
+    assert info.value.code == code
+
+
+def test_grover_spec_stores_sorted_integer_pairs():
+    spec = GroverSpec([(np.int64(2), True), (1, 0.0)])
+    assert spec.marked == ((1, 0), (2, 1))
+    assert all(type(v) is int for pair in spec.marked for v in pair)
+    assert spec == GroverSpec.from_config("10")
 
 
 def test_grover_is_unitary_and_marks(two_node):
-    spec = GroverSpec.from_config("11", 3)
+    spec = GroverSpec.from_config("11")
     grover = build_grover(two_node, 3, spec)
     matrix = extract_unitary(grover)
     assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(64))) < 1e-10
 
 
 def test_grover_eigenvalues_match_published(two_node):
-    spec = GroverSpec.from_config("00", 3)
+    spec = GroverSpec.from_config("00")
     matrix = extract_unitary(build_grover(two_node, 3, spec))
     eigenvalues = np.linalg.eigvals(matrix)
     nontrivial = eigenvalues[np.abs(eigenvalues.imag) > 1e-6]
@@ -172,11 +199,6 @@ def test_grover_power_zero_is_model_probability(two_node):
     state = run(circuit)
     probs = probabilities(state, circuit.register(3))
     assert probs[3] == pytest.approx(evaluate(two_node, 3)[3].probability(3), abs=1e-12)
-
-
-def test_grover_requires_step_in_horizon(two_node):
-    with pytest.raises(ValidationError):
-        build_grover(two_node, 2, GroverSpec.from_config("11", 3))
 
 
 def test_inverse_gates_invert(two_node):
@@ -202,7 +224,7 @@ def test_inverse_qft_matches_dft_matrix():
 
 
 def test_qae_circuit_shape(two_node):
-    spec = GroverSpec.from_config("11", 3)
+    spec = GroverSpec.from_config("11")
     circuit = build_qae_circuit(two_node, 3, spec, 3)
     assert circuit.n_qubits == 9
     assert circuit.ancillas == (6, 7, 8)
@@ -227,7 +249,7 @@ def test_emit_matches_a_plain_per_gate_emit(which, two_node):
     model = two_node if which == "two_node" else SIGNED_ZERO
     circuits = [build_model_circuit(model, 3)]
     for pattern in ("11", "1*", "*0"):
-        spec = GroverSpec.from_config(pattern, 3)
+        spec = GroverSpec.from_config(pattern)
         circuits.append(build_grover(model, 3, spec))
         circuits += [build_qae_circuit(model, 3, spec, bits) for bits in range(1, 10)]
     for circuit in circuits:
@@ -250,7 +272,7 @@ def test_emit_stays_right_when_freed_gate_ids_are_reused(two_node):
     gc.freeze()  # so that each collection scans only this test's objects
     try:
         for i in range(50):
-            spec = GroverSpec.from_config(["11", "1*", "*0", "01"][i % 4], 3)
+            spec = GroverSpec.from_config(["11", "1*", "*0", "01"][i % 4])
             circuit = build_qae_circuit(SIGNED_ZERO if i % 2 else two_node, 3, spec, 1 + i % 5)
             assert emit_gates(circuit) == plain_emit(circuit)
             del circuit
@@ -262,7 +284,7 @@ def test_emit_stays_right_when_freed_gate_ids_are_reused(two_node):
 def test_phase_estimation_build_and_emit_stay_within_the_gate_peak(two_node):
     # the byte budget charges _GATE_PEAK per gate reference; a repeated
     # reference costs a tuple slot and its share of the listing
-    spec = GroverSpec.from_config("11", 3)
+    spec = GroverSpec.from_config("11")
     for bits in (9, 10, 11):
         references = len(build_qae_circuit(two_node, 3, spec, bits).gates)
         peak = traced_peak(lambda: emit_gates(build_qae_circuit(two_node, 3, spec, bits)))
@@ -270,7 +292,7 @@ def test_phase_estimation_build_and_emit_stay_within_the_gate_peak(two_node):
 
 
 def test_signed_zero_model_holds_equal_gates_that_print_apart():
-    zeros = [g for g in build_grover(SIGNED_ZERO, 3, GroverSpec.from_config("11", 3)).gates
+    zeros = [g for g in build_grover(SIGNED_ZERO, 3, GroverSpec.from_config("11")).gates
              if g.angle == 0.0]
     assert any(a == b and hash(a) == hash(b) and _emit_line(a) != _emit_line(b)
                for a in zeros for b in zeros)
@@ -288,7 +310,7 @@ def test_emit_transition_block_polarities(two_node):
 
 
 def test_emit_parse_round_trip(two_node):
-    grover = build_grover(two_node, 2, GroverSpec.from_config("01", 2))
+    grover = build_grover(two_node, 2, GroverSpec.from_config("01"))
     text = emit_gates(grover)
     parsed = parse_gates(text, n_qubits=grover.n_qubits)
     assert emit_gates(parsed) == text

@@ -455,6 +455,20 @@ def test_bad_seed_or_repeats_is_a_validation_error(capsys, fixtures_dir, args):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("qae",), ("qae", "--eigenphase"), ("lowdepth", "--shots", "10"),
+    ("circuit", "--kind", "grover"), ("circuit", "--kind", "qae", "--bits", "3"),
+], ids=["qae", "eigenphase", "lowdepth", "circuit-grover", "circuit-qae"])
+def test_zero_steps_with_a_config_is_invalid_horizon(capsys, fixtures_dir, args):
+    # the marked register is the horizon's, and the model builder refuses 0
+    code = main([args[0], "--model", model_path(fixtures_dir, "two_node_model.json"),
+                 "--steps", "0", "--config", "11", *args[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error (invalid-horizon)")
+    assert captured.out == ""
+
+
 def test_qae_negative_bits_is_invalid_bits(capsys, fixtures_dir):
     # bits is checked before the seed (seed, bits) is built from it
     code = main(["qae", "--model", model_path(fixtures_dir, "two_node_model.json"),

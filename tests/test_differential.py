@@ -77,7 +77,7 @@ def test_exact_enumeration_and_statevector_agree(model, horizon):
 @settings(max_examples=25, deadline=None)
 @given(models(), _HORIZONS, st.data())
 def test_real_statevector_is_the_complex_runs_real_part(model, horizon, data):
-    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)))
     zero = Gate("phase", (0,), angle=0.0)  # multiplies by exactly 1+0j
     for circuit in (build_model_circuit(model, horizon), build_grover(model, horizon, spec)):
         full = run(Circuit(circuit.n_qubits, circuit.gates + (zero,)))
@@ -139,7 +139,7 @@ def test_run_is_apply_gates_in_the_deferred_order(circuit):
 @settings(max_examples=25, deadline=None)
 @given(models(), _HORIZONS, st.data())
 def test_eigenphase_matches_exact_marked_probability(model, horizon, data):
-    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)))
     nodes, bits = zip(*spec.marked)
     p = marginal(evaluate(model, horizon)[horizon], nodes, bits)
     assume(1e-9 < p < 1.0 - 1e-9)
@@ -150,7 +150,7 @@ def test_eigenphase_matches_exact_marked_probability(model, horizon, data):
 @settings(max_examples=25, deadline=None)
 @given(models(), _HORIZONS, st.integers(1, 6), st.data())
 def test_plane_distribution_matches_phase_estimation_circuit(model, horizon, bits, data):
-    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)))
     nodes, marked = zip(*spec.marked)
     p = marginal(evaluate(model, horizon)[horizon], nodes, marked)
     assume(1e-9 < p < 1.0 - 1e-9)
@@ -162,12 +162,13 @@ def test_plane_distribution_matches_phase_estimation_circuit(model, horizon, bit
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def _marked_basis(circuit, spec: GroverSpec) -> np.ndarray:
-    """Boolean mask of the circuit's basis states that satisfy the mark."""
+def _marked_basis(circuit, horizon: int, spec: GroverSpec) -> np.ndarray:
+    """Boolean mask of the circuit's basis states that satisfy the mark on
+    the register of ``horizon``."""
     index = np.arange(1 << circuit.n_qubits)
     mask = np.ones(index.shape, dtype=bool)
     for node, bit in spec.marked:
-        mask &= (index >> circuit.qubit(node, spec.target_step)) & 1 == bit
+        mask &= (index >> circuit.qubit(node, horizon)) & 1 == bit
     return mask
 
 
@@ -175,11 +176,11 @@ def _marked_basis(circuit, spec: GroverSpec) -> np.ndarray:
 @given(models(), _HORIZONS, st.data())
 def test_grover_circuit_is_the_reflection_form(model, horizon, data):
     # G = -A S0 A^dagger S_chi = (2|psi><psi| - I)(I - 2 Pi), psi = A|0>
-    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)))
     base = build_model_circuit(model, horizon)
     psi = run(base)
     reflection = ((2.0 * np.outer(psi, psi) - np.eye(psi.size))
-                  * np.where(_marked_basis(base, spec), -1.0, 1.0))
+                  * np.where(_marked_basis(base, horizon, spec), -1.0, 1.0))
     got = extract_unitary(build_grover(model, horizon, spec))
     assert np.allclose(got, reflection, rtol=0.0, atol=1e-12)
 
@@ -189,10 +190,10 @@ def test_grover_circuit_is_the_reflection_form(model, horizon, data):
 def test_schedule_distributions_match_simulated_grover_powers(model, horizon, data):
     # the marked mass after l simulated Grover applications is the closed
     # form sin^2((2l+1)a) that run_schedule draws its counts from
-    spec = GroverSpec.from_config(data.draw(_patterns(model.k)), horizon)
+    spec = GroverSpec.from_config(data.draw(_patterns(model.k)))
     base = build_model_circuit(model, horizon)
     grover = build_grover(model, horizon, spec)
-    register = base.register(spec.target_step)
+    register = base.register(horizon)
     marked = spec.matches(np.arange(1 << len(register)))
     angle = _half_angle(_plane(model, horizon, spec)[0])
     state = run(base)

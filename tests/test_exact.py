@@ -124,6 +124,11 @@ def test_marginal_validation(two_node):
         marginal(table, [1, 1], [0, 1])
     with pytest.raises(ValidationError):
         marginal(table, [1], [2])
+    for nodes in ([1.5], ["1"], [None]):
+        with pytest.raises(ValidationError) as info:
+            marginal(table, nodes, [1])
+        assert info.value.code == "invalid-node-index"
+    assert marginal(table, np.array([2, 1]), [1, 1]) == marginal(table, [1, 2], [1, 1])
 
 
 @pytest.mark.parametrize("k", range(1, 13))

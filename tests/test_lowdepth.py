@@ -69,7 +69,7 @@ def test_predict_ambiguity_invariance(theta, power, f, a):
 
 
 def test_run_schedule_statistics(two_node):
-    spec = GroverSpec.from_config("00", 3)
+    spec = GroverSpec.from_config("00")
     trace = run_schedule(two_node, 3, spec, range(9), 30, seed=6)
     p_exact = evaluate(two_node, 3)[3].probability(0)
     theta = 2.0 * math.asin(math.sqrt(p_exact))
@@ -81,19 +81,19 @@ def test_run_schedule_statistics(two_node):
 
 def test_run_schedule_seeded_trace_is_pinned(two_node):
     # literals, so a change to how p is summed cannot move a seeded trace unseen
-    trace = run_schedule(two_node, 3, GroverSpec.from_config("11", 3), range(9), 200,
+    trace = run_schedule(two_node, 3, GroverSpec.from_config("11"), range(9), 200,
                          noise=NoiseSpec(0.05), seed=6)
     assert trace.marked == (70, 178, 11, 154, 88, 44, 156, 17, 123)
 
 
 def test_run_schedule_power_zero_estimates_probability(one_node):
-    spec = GroverSpec.from_config("1", 2)
+    spec = GroverSpec.from_config("1")
     trace = run_schedule(one_node, 2, spec, [0], 40_000, seed=3)
     assert trace.marked[0] / 40_000 == pytest.approx(0.48, abs=0.01)
 
 
 def test_run_schedule_determinism_and_common_powers(one_node):
-    spec = GroverSpec.from_config("1", 3)
+    spec = GroverSpec.from_config("1")
     noise = NoiseSpec(0.4)
     a = run_schedule(one_node, 3, spec, range(5), 500, noise=noise, seed=12)
     b = run_schedule(one_node, 3, spec, range(5), 500, noise=noise, seed=12)
@@ -104,7 +104,7 @@ def test_run_schedule_determinism_and_common_powers(one_node):
 
 def test_noisy_schedule_recovers_single_step_probability(one_node):
     # synthetic channel at decay rate ~0.977 around the p = 0.3 oscillation
-    spec = GroverSpec.from_config("1", 1)
+    spec = GroverSpec.from_config("1")
     noise = NoiseSpec.from_decay_rate(0.977)
     trace = run_schedule(one_node, 1, spec, range(9), 2000, noise=noise, seed=5)
     fit = fit_noise_model(trace)
@@ -116,7 +116,7 @@ def test_fully_scrambled_schedule_hits_one_in_2_to_the_marked_nodes(two_node):
     # probability 2^-m for m marked nodes, not 1/2
     shots = 20_000
     for pattern, fraction in (("11", 0.25), ("1*", 0.5)):
-        spec = GroverSpec.from_config(pattern, 3)
+        spec = GroverSpec.from_config(pattern)
         trace = run_schedule(two_node, 3, spec, range(1, 9), shots, noise=NoiseSpec(1.0),
                              seed=9)
         sigma = math.sqrt(shots * fraction * (1.0 - fraction))
@@ -128,7 +128,7 @@ def test_run_schedule_counts_2_to_the_53_shots_exactly():
     # every shot of a p = 1 model is marked, and 2^53 is the largest count a
     # trace holds exactly
     model = NetworkModel.from_triggers([1.0], [0.0], {})
-    spec = GroverSpec.from_config("1", 1)
+    spec = GroverSpec.from_config("1")
     shots = 1 << 53
     trace = run_schedule(model, 1, spec, [0, 1, 2], shots)
     assert trace.marked == trace.shots == (shots,) * 3
@@ -139,14 +139,14 @@ def test_run_schedule_counts_2_to_the_53_shots_exactly():
 def test_run_schedule_refuses_a_shot_count_of_5000_digits(two_node):
     # the refusal must not format the count, which has more digits than
     # Python converts to a decimal string
-    spec = GroverSpec.from_config("11", 3)
+    spec = GroverSpec.from_config("11")
     for shots in (10 ** 5000, [3, 10 ** 5000]):
         with pytest.raises(ResourceLimitError):
             run_schedule(two_node, 3, spec, [0, 1], shots)
 
 
 def test_run_schedule_validation(one_node):
-    spec = GroverSpec.from_config("1", 1)
+    spec = GroverSpec.from_config("1")
     with pytest.raises(ValidationError):
         run_schedule(one_node, 1, spec, [], 10)
     with pytest.raises(ValidationError):
@@ -158,7 +158,7 @@ def test_run_schedule_validation(one_node):
 
 
 def test_run_schedule_takes_any_integer_shot_count(two_node):
-    spec = GroverSpec.from_config("11", 3)
+    spec = GroverSpec.from_config("11")
     trace = run_schedule(two_node, 3, spec, range(5), 100, seed=4)
     for shots in (np.int64(100), [np.int64(100)] * 5, np.full(5, 100)):
         assert run_schedule(two_node, 3, spec, range(5), shots, seed=4) == trace
@@ -186,7 +186,7 @@ def test_trace_refuses_fractional_powers_and_shots(one_node):
         LowDepthTrace([0, 1], [10.8, 10], [3, 4])
     assert info.value.code == "invalid-shots"
     with pytest.raises(ValidationError) as info:
-        run_schedule(one_node, 1, GroverSpec.from_config("1", 1), [0, 1.5], 10)
+        run_schedule(one_node, 1, GroverSpec.from_config("1"), [0, 1.5], 10)
     assert info.value.code == "invalid-schedule"
     trace = LowDepthTrace(np.arange(3), [np.int64(10)] * 3, [1, 2, 3])
     assert trace.schedule == (0, 1, 2) and trace.shots == (10, 10, 10)

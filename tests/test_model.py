@@ -94,6 +94,14 @@ def test_constructor_reports_the_first_fault_in_node_order(fields, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("pair", [(1.5, 2), (1, "2"), (0, 2), (1, 3)],
+                         ids=["fractional", "string", "zero", "past-k"])
+def test_from_triggers_refuses_bad_indices(pair):
+    with pytest.raises(ValidationError) as err:
+        NetworkModel.from_triggers([0.1, 0.2], [0.1, 0.2], {pair: 0.1})
+    assert err.value.code == "invalid-node-index"
+
+
 def test_load_worked_example(two_node, fixtures_dir):
     model = load_model((fixtures_dir / "two_node_model.json").read_text())
     assert model.k == 2

@@ -1,5 +1,6 @@
 """The public surface of the package, pinned so that a name or parameter
 only tests would use cannot come back unnoticed."""
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -49,7 +50,15 @@ def test_public_parameters():
     assert parameters(cascadeq.run_standard_qae) == ["model", "horizon", "spec", "bits", "shots",
                                                      "seed"]
     assert parameters(cascadeq.grover_eigenphase) == ["model", "horizon", "spec"]
+    assert parameters(cascadeq.build_grover) == ["model", "horizon", "spec"]
+    assert parameters(cascadeq.build_qae_circuit) == ["model", "horizon", "spec", "bits"]
     assert parameters(cascadeq.run_schedule) == ["model", "horizon", "spec", "schedule", "shots",
                                                  "noise", "seed"]
     assert parameters(cascadeq.fit_sine) == ["trace"]
     assert parameters(cascadeq.fit_noise_model) == ["trace", "fix_f"]
+
+
+def test_grover_spec_is_the_marked_pattern_alone():
+    # the marked register is the horizon's: a spec holds no step of its own
+    assert [f.name for f in dataclasses.fields(cascadeq.GroverSpec)] == ["marked"]
+    assert list(inspect.signature(cascadeq.GroverSpec.from_config).parameters) == ["text"]

@@ -82,7 +82,7 @@ def _complex_run(circuit):
 
 def test_real_run_is_the_complex_runs_real_part():
     model = random_model(np.random.default_rng(5), 3)
-    spec = GroverSpec.from_config("1*0", 4)
+    spec = GroverSpec.from_config("1*0")
     for circuit in (build_model_circuit(model, 4), build_grover(model, 4, spec)):
         full = _complex_run(circuit)
         assert np.array_equal(run(circuit), full.real)
@@ -163,7 +163,7 @@ def test_register_one_gates_act_on_the_live_prefix(monkeypatch):
 @pytest.mark.parametrize("k, horizon", [(2, 7), (3, 5), (4, 4)])
 def test_run_peaks_within_its_byte_budget_factor(k, horizon):
     model = random_model(np.random.default_rng(k), k)
-    spec = GroverSpec.from_config("1" * k, horizon)
+    spec = GroverSpec.from_config("1" * k)
     real = build_model_circuit(model, horizon)
     grover = build_grover(model, horizon, spec)
     n = real.n_qubits
@@ -175,7 +175,7 @@ def test_run_peaks_within_its_byte_budget_factor(k, horizon):
 def _model_grover_and_complex(k, horizon):
     model = random_model(np.random.default_rng(k), k)
     real = build_model_circuit(model, horizon)
-    grover = build_grover(model, horizon, GroverSpec.from_config("1" * k, horizon))
+    grover = build_grover(model, horizon, GroverSpec.from_config("1" * k))
     phase = (Gate("phase", (0,), angle=0.3),)
     return real, grover, Circuit(real.n_qubits, phase + real.gates + grover.gates)
 
@@ -257,6 +257,10 @@ def test_probabilities_on_any_qubit_list():
                 assert got.shape == (1 << len(qubits),)
                 assert np.array_equal(probabilities(state, np.array(qubits)), got)
                 assert np.max(np.abs(got - _brute_marginal(state, qubits))) <= 1e-13, qubits
+    for qubits in ([1.5], [0, "1"], [np.float64(0.0)]):
+        with pytest.raises(ValidationError) as info:
+            probabilities(state, qubits)
+        assert info.value.code == "index-out-of-range"
 
 
 def test_two_node_register_marginals(two_node):
@@ -369,21 +373,21 @@ def test_extract_unitary_is_the_column_by_column_matrix():
     phased = Circuit(3, (Gate("h", (0,)), Gate("ry", (2,), angle=0.4),
                          Gate("phase", (1,), controls=((0, 1), (2, 0)), angle=0.9),
                          Gate("phase", (0,), angle=-1.3), Gate("s0", (0, 1, 2))))
-    for circuit in (build_grover(random_model(rng, 2), 3, GroverSpec.from_config("1*", 3)),
-                    build_grover(random_model(rng, 3), 2, GroverSpec.from_config("10*", 2)),
+    for circuit in (build_grover(random_model(rng, 2), 3, GroverSpec.from_config("1*")),
+                    build_grover(random_model(rng, 3), 2, GroverSpec.from_config("10*")),
                     phased):
         assert circuit.n_qubits <= 6
         assert np.array_equal(extract_unitary(circuit), _unitary_by_columns(circuit))
 
 
 def test_grover_unitarity_via_extraction(two_node):
-    grover = build_grover(two_node, 3, GroverSpec.from_config("10", 3))
+    grover = build_grover(two_node, 3, GroverSpec.from_config("10"))
     matrix = extract_unitary(grover)
     assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(64))) < 1e-9
 
 
 def test_norm_preserved_gate_by_gate(two_node):
-    circuit = build_grover(two_node, 2, GroverSpec.from_config("11", 2))
+    circuit = build_grover(two_node, 2, GroverSpec.from_config("11"))
     state = np.zeros(1 << circuit.n_qubits, dtype=complex)
     state[0] = 1.0
     for gate in circuit.gates:
@@ -412,7 +416,7 @@ def test_noise_spec_validation():
 
 
 def test_noiseless_channel_matches_distribution(two_node):
-    spec = GroverSpec.from_config("01", 3)
+    spec = GroverSpec.from_config("01")
     shots = 50_000
     trace = run_schedule(two_node, 3, spec, [0], shots, noise=NoiseSpec(0.0), seed=8)
     p = evaluate(two_node, 3)[3].probability(1)
@@ -421,7 +425,7 @@ def test_noiseless_channel_matches_distribution(two_node):
 
 def test_fully_scrambled_channel_hits_marked_fraction():
     model = NetworkModel.from_triggers([1.0], [0.0], {})
-    spec = GroverSpec.from_config("1", 1)
+    spec = GroverSpec.from_config("1")
     shots = 50_000
     trace = run_schedule(model, 1, spec, [1], shots, noise=NoiseSpec(1.0), seed=3)
     assert abs(trace.marked[0] / shots - 0.5) <= 4.0 * math.sqrt(0.25 / shots)
@@ -431,7 +435,7 @@ def test_survival_fraction_tracks_power():
     # clean shots always measure marked (p_fail = 1), scrambled ones half the
     # time, so the marked fraction pins the empirical survival rate
     model = NetworkModel.from_triggers([1.0], [0.0], {})
-    spec = GroverSpec.from_config("1", 1)
+    spec = GroverSpec.from_config("1")
     epsilon = 0.3
     shots = 100_000
     powers = (1, 2, 4)
