@@ -32,7 +32,6 @@ from .lowdepth import (
     predict,
     run_schedule,
     trace_from_text,
-    trace_to_text,
 )
 from .mc import McResult, evaluate_mc
 from .model import (
@@ -40,7 +39,6 @@ from .model import (
     format_config,
     load_model,
     parse_config,
-    save_model,
 )
 from .qae import EigenphaseResult, QaeResult, decode_outcome, grover_eigenphase, run_standard_qae
 from .sim import probabilities, run

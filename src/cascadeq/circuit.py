@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, check_dense_bytes
-from .model import NetworkModel, _p_on_failed, index_tuple
+from .errors import ParseError, ResourceLimitError, ValidationError, check_dense_bytes
+from .model import NetworkModel, _p_on_failed, check_int, check_real, index_tuple
 
 __all__ = [
     "Gate",
@@ -73,8 +73,8 @@ class Gate:
             raise ValidationError(f"unknown gate kind {self.kind!r}", code="unknown-gate-kind")
         if (self.angle is not None) != (self.kind in _KINDS_WITH_ANGLE):
             raise ValidationError(f"gate {self.kind!r} angle mismatch", code="invalid-gate")
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise ValidationError("gate angle must be finite", code="invalid-gate")
+        if self.angle is not None:
+            object.__setattr__(self, "angle", check_real(self.angle, "gate angle", "invalid-gate"))
         if self.kind == "mark":
             if self.targets or not self.controls:
                 raise ValidationError("mark takes controls only", code="invalid-gate")
@@ -113,8 +113,8 @@ class Circuit:
     ancillas: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValidationError("circuit needs at least one qubit", code="invalid-circuit")
+        object.__setattr__(self, "n_qubits",
+                           check_int(self.n_qubits, "qubit count", "invalid-circuit", 1))
         # a tuple, so that a caller's list cannot change under distinct_gates
         object.__setattr__(self, "gates", tuple(self.gates))
         if "_blocks" not in self.__dict__:
@@ -181,9 +181,7 @@ class GroverSpec:
         except (TypeError, ValueError):
             raise ValidationError(f"marked {self.marked!r} is not a nonempty sequence of "
                                   "(node, bit) pairs", code="invalid-mark") from None
-        nodes = index_tuple(nodes, "marked nodes", "invalid-node-index")
-        if min(nodes) < 1:
-            raise ValidationError(f"marked node {min(nodes)} is below 1", code="invalid-node-index")
+        nodes = index_tuple(nodes, "marked nodes", "invalid-node-index", 1)
         if len(set(nodes)) != len(nodes):
             raise ValidationError("marked nodes must be distinct", code="invalid-mark")
         if any(b not in (0, 1) for b in bits):
@@ -221,11 +219,6 @@ def _model_gate_bound(model: NetworkModel, horizon: int) -> int:
     node and step, and per transition at most 2^|A| rotations per node."""
     per_step = sum(1 << len(_ancestors(model, n)) for n in range(model.k))
     return model.k * horizon + (horizon - 1) * per_step
-
-
-def _check_gate_count(count: int, what: str) -> None:
-    """Raise ResourceLimitError before building ``count`` gates past the byte budget."""
-    check_dense_bytes(count * _GATE_PEAK, f"{what} of {count} gates")
 
 
 def _corrections(model: NetworkModel, node: int, init: float) -> list[tuple[tuple, float]]:
@@ -267,9 +260,8 @@ def build_model_circuit(model: NetworkModel, horizon: int) -> Circuit:
     2*arcsin(sqrt(p_on)) - 2*arcsin(sqrt(p_fail)). A circuit whose gate
     count bound passes the byte budget is refused before it is built.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1", code="invalid-horizon")
-    _check_gate_count(_model_gate_bound(model, horizon), "the model circuit")
+    horizon = check_int(horizon, "horizon", "invalid-horizon", 1)
+    check_dense_bytes(_model_gate_bound(model, horizon) * _GATE_PEAK, "the model circuit")
     k = model.k
     layout = {(n, t): (t - 1) * k + (n - 1) for t in range(1, horizon + 1)
               for n in range(1, k + 1)}
@@ -362,15 +354,15 @@ def build_qae_circuit(model: NetworkModel, horizon: int, spec: GroverSpec,
     block is built once and recorded as one block repeated 2^j times, so
     its 2^j references share their gate objects.
     """
-    if bits < 1:
-        raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1", code="invalid-horizon")
+    bits = check_int(bits, "bits", "invalid-bits", 1)
+    horizon = check_int(horizon, "horizon", "invalid-horizon", 1)
+    if bits > 62:  # not 1 << bits for a huge bit count
+        raise ResourceLimitError("past 62 bits the circuit repeats 2^63 Grover blocks or more")
     model_gates = _model_gate_bound(model, horizon)
     grover_gates = 2 * model_gates + 6  # mark, s0 and the four-gate global minus
     qft_gates = bits + bits * (bits - 1) // 2 + 3 * (bits // 2)
-    _check_gate_count(bits + model_gates + ((1 << bits) - 1) * grover_gates + qft_gates,
-                      "the phase-estimation circuit")
+    check_dense_bytes((bits + model_gates + ((1 << bits) - 1) * grover_gates + qft_gates)
+                      * _GATE_PEAK, "the phase-estimation circuit")
     base = build_model_circuit(model, horizon)
     grover = _grover_gates(horizon, spec, base)
     ancillas = tuple(range(base.n_qubits, base.n_qubits + bits))

@@ -46,7 +46,6 @@ from .errors import (
     MissingSeriesError,
     ParseError,
     ResourceLimitError,
-    ValidationError,
     check_dense_bytes,
 )
 from .exact import _labeler, evaluate, marginal
@@ -61,7 +60,7 @@ from .lowdepth import (
     trace_from_text,
 )
 from .mc import evaluate_mc
-from .model import load_model
+from .model import check_int, load_model
 from .qae import _qae_sweep, grover_eigenphase
 
 _CURVE_STEP = 0.05
@@ -185,7 +184,7 @@ def _parse_int_list(text: str) -> list[int]:
                 raise ParseError(f"bad integer {token!r}") from exc
             spans.append((value, value))
     entries = sum(hi - lo + 1 for lo, hi in spans)
-    check_dense_bytes(entries * _LIST_ENTRY_PEAK, f"a list of {entries} integers")
+    check_dense_bytes(entries * _LIST_ENTRY_PEAK, "the integer list")
     return [value for lo, hi in spans for value in range(lo, hi + 1)]
 
 
@@ -236,8 +235,7 @@ def _cmd_exact(args):
 
 
 def _cmd_mc(args):
-    if args.repeats < 1:
-        raise ValidationError("--repeats must be >= 1", code="invalid-repeats")
+    check_int(args.repeats, "--repeats", "invalid-repeats", 1)
     model = _load_model_file(args.model)
     started = time.perf_counter()
     repeats = [evaluate_mc(model, args.steps, args.runs, seed=(args.seed, rep))

@@ -46,8 +46,10 @@ class ResourceLimitError(CascadeqError, RuntimeError):
 def check_dense_bytes(nbytes: int, what: str) -> None:
     """Raise ResourceLimitError before allocating more than DENSE_BYTE_BUDGET."""
     if nbytes > DENSE_BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"{what} needs {nbytes} bytes, over the budget of {DENSE_BYTE_BUDGET}")
+        # a count of more digits than Python writes as a string is not written
+        needs = nbytes if nbytes < 1 << 64 else "over 2^64"
+        raise ResourceLimitError(f"{what} needs {needs} bytes, over the budget of "
+                                 f"{DENSE_BYTE_BUDGET}")
 
 
 class FitDivergedError(CascadeqError, RuntimeError):

@@ -13,7 +13,9 @@ by 2^k vector-matrix product. A step's table is built from ``tolist`` of
 its nonzero entries, and ``by_string`` labels it from one tuple of labels
 per k, so neither formats or converts entry by entry (k = 10, T = 5:
 about 2 ms of products and 5 ms of fold).
-A model whose fold would pass ``DENSE_BYTE_BUDGET`` (k >= 14) raises
+A model whose fold, with ``_TABLE_ENTRY_PEAK`` bytes for each of the
+2^k + 4 entries of every step's table, would pass ``DENSE_BYTE_BUDGET``
+(k >= 14, or a horizon past about 2^30 / (160 * (2^k + 4))) raises
 ``ResourceLimitError`` before anything is allocated.
 """
 from __future__ import annotations
@@ -25,13 +27,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, check_dense_bytes
-from .model import NetworkModel, format_config, index_tuple, p_on
+from .model import _MAX_NODES, NetworkModel, check_int, index_tuple, p_on
 
 __all__ = ["DistributionTable", "evaluate", "marginal"]
 
 _FOLD_PEAK = 1.05
 """Peak bytes of ``_step_matrix`` as a multiple of the 8 * 4^k of its result
 (tracemalloc: 1.034 at k=10, 1.012 at k=11)."""
+
+_TABLE_ENTRY_PEAK = 160
+"""Peak bytes of the ``exact`` verb per entry of its step tables, the report
+included, where a step's table object, report entry and their dicts count
+as four entries more. Tracemalloc, at 2^k + 4 entries a step: 121-137 at
+k = 1-6 and 137-143 at k = 8-10, over 200 to 16,000 steps; per 2^k
+entries alone it would be 396 at k = 1 and 140 at k = 10."""
 
 
 @dataclass(frozen=True)
@@ -43,9 +52,11 @@ class DistributionTable:
     probs: dict[int, float]
 
     def __post_init__(self):
-        if self.probs and (min(self.probs) < 0 or max(self.probs) >= 1 << self.k):
-            raise ValidationError(f"a configuration key lies outside 0..{(1 << self.k) - 1}",
-                                  code="invalid-configuration")
+        k = check_int(self.k, "node count", "invalid-configuration", 1, _MAX_NODES)
+        object.__setattr__(self, "k", k)
+        if self.probs:
+            index_tuple((min(self.probs), max(self.probs)), "configuration keys",
+                        "invalid-configuration", 0, (1 << k) - 1)
 
     def probability(self, config: int) -> float:
         return self.probs.get(config, 0.0)
@@ -70,13 +81,13 @@ _LABEL_TABLE_MAX = 1 << 16
 
 
 def _labeler(k: int, count: int):
-    """``format_config(c, k)`` as a function of c, for labelling up to
-    ``count`` configurations: a lookup in ``_labels(k)`` when its 2^k labels
-    are no more than ``count`` (so it never formats more labels than the
-    caller needs) and ``_LABEL_TABLE_MAX``, and ``format_config`` otherwise."""
+    """``format_config(c, k)`` as a function of c in 0..2^k - 1, for labelling
+    up to ``count`` configurations: a lookup in ``_labels(k)`` when its 2^k
+    labels are no more than ``count`` (so it never formats more labels than
+    the caller needs) and ``_LABEL_TABLE_MAX``, and a format of c otherwise."""
     if 1 << k <= min(count, _LABEL_TABLE_MAX):
         return _labels(k).__getitem__
-    return functools.partial(format_config, k=k)
+    return f"{{:0{k}b}}".format
 
 
 def _step_matrix(model: NetworkModel) -> np.ndarray:
@@ -97,10 +108,11 @@ def _step_matrix(model: NetworkModel) -> np.ndarray:
 
 def evaluate(model: NetworkModel, horizon: int) -> list[DistributionTable]:
     """Distributions for t = 0..horizon; t=0 is all-good with probability 1."""
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0", code="invalid-horizon")
-    check_dense_bytes(int(_FOLD_PEAK * 8 * 4 ** model.k),
-                      f"the {model.k}-node step matrix")
+    horizon = check_int(horizon, "horizon", "invalid-horizon", 0)
+    size = 1 << model.k
+    check_dense_bytes(int(_FOLD_PEAK * 8 * size * size)
+                      + _TABLE_ENTRY_PEAK * (size + 4) * (horizon + 1),
+                      f"the {model.k}-node step matrix with its tables")
     matrix = _step_matrix(model)
     dist = np.zeros(1 << model.k)
     dist[0] = 1.0
@@ -115,19 +127,13 @@ def evaluate(model: NetworkModel, horizon: int) -> list[DistributionTable]:
 
 def marginal(table: DistributionTable, nodes: Sequence[int], states: Sequence[int]) -> float:
     """Probability that each node in ``nodes`` (1-based) is in its given state."""
-    nodes = index_tuple(nodes, "nodes", "invalid-node-index")
-    if len(nodes) == 0:
-        raise ValidationError("marginal needs at least one node", code="invalid-node-index")
-    if len(set(nodes)) != len(nodes):
-        raise ValidationError("marginal nodes must be distinct", code="invalid-node-index")
-    if len(states) != len(nodes):
-        raise ValidationError("one state bit per node required", code="invalid-configuration")
-    for n in nodes:
-        if not (1 <= n <= table.k):
-            raise ValidationError(f"node {n} outside 1..{table.k}", code="invalid-node-index")
-    for s in states:
-        if s not in (0, 1):
-            raise ValidationError(f"state {s!r} is not 0 or 1", code="invalid-configuration")
+    nodes = index_tuple(nodes, "nodes", "invalid-node-index", 1, table.k)
+    if not nodes or len(set(nodes)) != len(nodes):
+        raise ValidationError("marginal needs distinct nodes, at least one",
+                              code="invalid-node-index")
+    if len(states) != len(nodes) or any(s not in (0, 1) for s in states):
+        raise ValidationError("one state bit, 0 or 1, per node required",
+                              code="invalid-configuration")
     total = 0.0
     for c, p in table.probs.items():
         if all((c >> (n - 1)) & 1 == s for n, s in zip(nodes, states)):

@@ -22,14 +22,13 @@ import contextlib
 import csv
 import io
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import GroverSpec
 from .errors import FitDivergedError, ParseError, ResourceLimitError, ValidationError
-from .model import NetworkModel, seed_tuple
+from .model import NetworkModel, check_int, check_real, index_tuple, seed_tuple
 from .qae import _half_angle, _plane
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "fit_noise_model",
     "min_shots",
     "max_depth",
-    "trace_to_text",
     "trace_from_text",
 ]
 
@@ -57,14 +55,12 @@ class NoiseSpec:
     per_grover_error: float
 
     def __post_init__(self):
-        if not 0.0 <= self.per_grover_error <= 1.0:
-            raise ValidationError("per-Grover error must be in [0, 1]", code="out-of-range")
+        object.__setattr__(self, "per_grover_error", check_real(
+            self.per_grover_error, "per-Grover error", "out-of-range", 0.0, 1.0))
 
     @classmethod
     def from_decay_rate(cls, a: float) -> "NoiseSpec":
-        if a < 0.0:
-            raise ValidationError("decay rate must be >= 0", code="out-of-range")
-        return cls(1.0 - math.exp(-a))
+        return cls(1.0 - math.exp(-check_real(a, "decay rate", "out-of-range", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,8 @@ class LowDepthTrace:
     """Per-power shot and marked-count record of one schedule run.
 
     Marked counts may be real-valued so exact expectation values can be
-    fitted; schedule runs always produce integers.
+    fitted; schedule runs always produce integers. A power or shot count past
+    2^53 (``_MAX_SHOTS``) raises ResourceLimitError.
     """
 
     schedule: tuple[int, ...]
@@ -80,30 +77,23 @@ class LowDepthTrace:
     marked: tuple[float, ...]
 
     def __post_init__(self):
-        # operator.index, not int: a power or shot count of 1.5 is refused, not truncated
-        try:
-            object.__setattr__(self, "schedule", tuple(map(operator.index, self.schedule)))
-        except TypeError:
-            raise ValidationError("schedule powers must be integers",
-                                  code="invalid-schedule") from None
-        try:
-            object.__setattr__(self, "shots", tuple(map(operator.index, self.shots)))
-        except TypeError:
-            raise ValidationError("shots must be integers", code="invalid-shots") from None
-        object.__setattr__(self, "marked", tuple(float(x) for x in self.marked))
-        if not self.schedule:
-            raise ValidationError("schedule must be nonempty", code="invalid-schedule")
-        if len(self.shots) != len(self.schedule) or len(self.marked) != len(self.schedule):
+        # integers, not int(): a power or shot count of 1.5 is refused, not truncated
+        schedule = index_tuple(self.schedule, "schedule powers", "invalid-schedule", 0)
+        shots = index_tuple(self.shots, "shots", "invalid-shots", 1)
+        marked = tuple(self.marked)
+        if not schedule or len(set(schedule)) != len(schedule):
+            raise ValidationError("schedule powers must be distinct, and at least one",
+                                  code="invalid-schedule")
+        if len(shots) != len(schedule) or len(marked) != len(schedule):
             raise ValidationError("schedule, shots, and marked must align",
                                   code="invalid-schedule")
-        if any(l < 0 for l in self.schedule) or len(set(self.schedule)) != len(self.schedule):
-            raise ValidationError("schedule powers must be distinct and >= 0",
-                                  code="invalid-schedule")
-        if any(n < 1 for n in self.shots):
-            raise ValidationError("shots must be >= 1 for every power", code="invalid-shots")
-        if any(not 0 <= m <= n for m, n in zip(self.marked, self.shots)):
-            raise ValidationError("marked counts must lie in [0, shots]",
-                                  code="invalid-counts")
+        if max(schedule + shots) > _MAX_SHOTS:
+            raise ResourceLimitError("a power or shot count exceeds 2^53, the most a trace's "
+                                     "float counts and powers hold exactly")
+        marked = tuple(check_real(m, "marked counts", "invalid-counts", 0, n)
+                       for m, n in zip(marked, shots))
+        for name, value in (("schedule", schedule), ("shots", shots), ("marked", marked)):
+            object.__setattr__(self, name, value)
 
     @property
     def fractions(self) -> tuple[float, ...]:
@@ -139,8 +129,10 @@ def predict(theta: float, power, a: float, f: float):
     At a=0 this is exactly sin^2((2*power+1)*theta/2). ``power`` may be an
     array (and real-valued, for plotting the fitted curve).
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValidationError(f"f = {f!r} outside [0, 1]", code="out-of-range")
+    f = check_real(f, "f", "out-of-range", 0.0, 1.0)
+    theta, a = check_real(theta, "theta", "out-of-range"), check_real(a, "a", "out-of-range")
+    if np.isscalar(power):
+        power = check_real(power, "power", "invalid-power")
     ell = np.asarray(power, dtype=float)
     signal = np.sin((2.0 * ell + 1.0) * theta / 2.0) ** 2
     decay = np.exp(-a * ell)
@@ -149,8 +141,9 @@ def predict(theta: float, power, a: float, f: float):
 
 
 _MAX_SHOTS = 1 << 53
-"""Most shots one power may take: a trace holds its counts as floats, which
-hold every integer up to 2^53 exactly."""
+"""Most shots one power may take, and the highest power: a trace's counts,
+and a fit's powers, are floats, which hold every integer up to 2^53
+exactly."""
 
 
 def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
@@ -161,35 +154,27 @@ def run_schedule(model: NetworkModel, horizon: int, spec: GroverSpec, schedule,
     s = (1 - epsilon)^l the channel's survival, sin(a) = sqrt(p) and m the
     marked nodes, drawn from the stream seeded by (seed, l): any two
     schedules agree on their common powers. ``shots`` is one integer for
-    every power or a sequence of one per power; shots past 2^53 are refused
-    before the model runs.
+    every power or a sequence of one per power; a power or shot count past
+    2^53 is refused before the model runs.
     """
     schedule = tuple(schedule)
-    try:
-        per_shots = (tuple(map(operator.index, shots)) if np.iterable(shots)
-                     else (operator.index(shots),) * len(schedule))
-    except TypeError:
-        raise ValidationError("shots must be an integer or a sequence of integers",
-                              code="invalid-shots") from None
+    per_shots = tuple(shots) if np.iterable(shots) else (shots,) * len(schedule)
     if len(per_shots) != len(schedule):
         raise ValidationError("one shot count per schedule entry required",
                               code="invalid-shots")
-    # the trace's checks, before the run; it takes the powers as integers
-    schedule = LowDepthTrace(schedule, per_shots, (0,) * len(schedule)).schedule
-    if max(per_shots) > _MAX_SHOTS:
-        raise ResourceLimitError("a shot count exceeds 2^53, the most a trace's float counts "
-                                 "hold exactly")
+    # the trace's checks, before the run; it takes the powers and shots as integers
+    trace = LowDepthTrace(schedule, per_shots, (0,) * len(schedule))
     epsilon = noise.per_grover_error if noise is not None else 0.0
     seeds = seed_tuple(seed)
     p, _ = _plane(model, horizon, spec)
     angle = _half_angle(p)
     scrambled = 0.5 ** len(spec.marked)
     counts = []
-    for power, n in zip(schedule, per_shots):
+    for power, n in zip(trace.schedule, trace.shots):
         survival = (1.0 - epsilon) ** power
         hit = survival * math.sin((2 * power + 1) * angle) ** 2 + (1.0 - survival) * scrambled
         counts.append(int(np.random.default_rng((*seeds, power)).binomial(n, min(hit, 1.0))))
-    return LowDepthTrace(schedule, per_shots, tuple(counts))
+    return LowDepthTrace(trace.schedule, trace.shots, tuple(counts))
 
 
 # --- fitting -------------------------------------------------------------------
@@ -453,8 +438,8 @@ def fit_noise_model(trace: LowDepthTrace, fix_f: float | None = None) -> FitResu
     or -100 / max power for schedules past power 100, and predictions are
     not clamped.
     """
-    if fix_f is not None and not 0.0 <= fix_f <= 1.0:
-        raise ValidationError(f"fix_f = {fix_f!r} outside [0, 1]", code="out-of-range")
+    if fix_f is not None:
+        fix_f = check_real(fix_f, "fix_f", "out-of-range", 0.0, 1.0)
     ells = np.asarray(trace.schedule, dtype=float)
     fractions = np.asarray(trace.fractions)
     lo = _min_rate(ells)
@@ -476,11 +461,8 @@ def _signal_detectable(a: float, power: int, shots: int, f: float) -> bool:
     return a * power <= 0.0 or deviation < math.exp(-a * power)
 
 
-def _check_bound_inputs(a: float, f: float) -> None:
-    if not 0.0 < f < 1.0:
-        raise ValidationError("bound needs f strictly inside (0, 1)", code="f-degenerate")
-    if not math.isfinite(a):
-        raise ValidationError(f"a = {a!r} is not finite", code="out-of-range")
+_OPEN_UNIT = (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+"""The floats strictly inside (0, 1), as a closed range: the f of a bound."""
 
 
 def min_shots(a: float, power: int, f: float) -> int:
@@ -490,9 +472,9 @@ def min_shots(a: float, power: int, f: float) -> int:
     ``power``, or an answer, past 2^53 (``_MAX_SHOTS``) raises
     ResourceLimitError.
     """
-    _check_bound_inputs(a, f)
-    if power < 0:
-        raise ValidationError("power must be >= 0", code="invalid-power")
+    f = check_real(f, "f", "f-degenerate", *_OPEN_UNIT)
+    a = check_real(a, "a", "out-of-range")
+    power = check_int(power, "power", "invalid-power", 0)
     if power > _MAX_SHOTS:  # before a * power, which may not fit a float
         raise ResourceLimitError("a power past 2^53 is refused")
     if not _signal_detectable(a, power, _MAX_SHOTS, f):
@@ -511,11 +493,11 @@ def max_depth(a: float, shots: int, f: float) -> int:
 
     ``shots``, or an answer, past 2^53 (``_MAX_SHOTS``) raises ResourceLimitError.
     """
-    _check_bound_inputs(a, f)
+    f = check_real(f, "f", "f-degenerate", *_OPEN_UNIT)
+    a = check_real(a, "a", "out-of-range")
     if a <= 0.0:
         raise ValidationError("depth is unbounded for a <= 0", code="a-nonpositive")
-    if shots < 1:
-        raise ValidationError("shots must be >= 1", code="invalid-shots")
+    shots = check_int(shots, "shots", "invalid-shots", 1)
     if shots > _MAX_SHOTS:
         raise ResourceLimitError("the shot count exceeds 2^53")
     if _signal_detectable(a, _MAX_SHOTS + 1, shots, f):
@@ -533,16 +515,6 @@ def max_depth(a: float, shots: int, f: float) -> int:
 # --- trace files -----------------------------------------------------------------
 
 _TRACE_HEADER = ["l", "shots", "marked"]
-
-
-def trace_to_text(trace: LowDepthTrace) -> str:
-    """Serialize as delimited text with header ``l,shots,marked``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_TRACE_HEADER)
-    for power, shots, marked in zip(trace.schedule, trace.shots, trace.marked):
-        writer.writerow([power, shots, int(marked) if marked == int(marked) else marked])
-    return out.getvalue()
 
 
 def trace_from_text(text: str) -> LowDepthTrace:

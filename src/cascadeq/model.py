@@ -26,7 +26,6 @@ __all__ = [
     "NetworkModel",
     "p_on",
     "load_model",
-    "save_model",
     "format_config",
     "parse_config",
 ]
@@ -66,11 +65,16 @@ class NetworkModel:
             raise ValidationError(f"p_trigger must be a {k}x{k} matrix", code="shape-mismatch")
         if len(set(names)) != k:
             raise ValidationError("node names must be unique", code="duplicate-node-name")
+
+        def probability(p, what: str) -> float:
+            return check_real(p, what, "probability-out-of-range", 0.0, 1.0)
+
         for i in range(k):
-            p_fail[i] = _probability(p_fail[i], "p_fail", i)
-            p_recover[i] = _probability(p_recover[i], "p_recover", i)
+            p_fail[i] = probability(p_fail[i], f"p_fail[{i + 1}]")
+            p_recover[i] = probability(p_recover[i], f"p_recover[{i + 1}]")
         for m, row in enumerate(rows):
-            rows[m] = tuple(_probability(p, "p_trigger", m, n) for n, p in enumerate(row))
+            rows[m] = tuple(probability(p, f"p_trigger[{m + 1}][{n + 1}]")
+                            for n, p in enumerate(row))
             if rows[m][m] != 0.0:
                 raise ValidationError(f"p_trigger[{m + 1}][{m + 1}] must be 0: a node cannot "
                                       "trigger itself", code="nonzero-self-trigger")
@@ -91,31 +95,19 @@ class NetworkModel:
         names: Sequence[str] | None = None,
     ) -> "NetworkModel":
         """Build a model from a sparse {(from_node, to_node): p} trigger map (1-based)."""
-        k = len(p_fail)
-        matrix = [[0.0] * k for _ in range(k)]
-        for (m, n), p in (triggers or {}).items():
-            m, n = index_tuple((m, n), "trigger nodes", "invalid-node-index")
-            if not (1 <= m <= k and 1 <= n <= k):
-                raise ValidationError(
-                    f"trigger ({m},{n}) references a node outside 1..{k}",
-                    code="invalid-node-index",
-                )
+        # the model without triggers first, so that k is read once its checks have
+        # passed: a p_fail without a length is refused there, as shape-mismatch
+        size = len(p_fail) if hasattr(p_fail, "__len__") else 0
+        base = cls(p_fail, p_recover, [[0.0] * size] * size, names or ())
+        matrix = [[0.0] * base.k for _ in range(base.k)]
+        for key, p in (triggers or {}).items():
+            try:
+                m, n = index_tuple(key, "trigger nodes", "invalid-node-index", 1, base.k)
+            except ValueError:  # ValidationError among them
+                raise ValidationError(f"a trigger key is not a pair of nodes in 1..{base.k}",
+                                      code="invalid-node-index") from None
             matrix[m - 1][n - 1] = p
-        return cls(p_fail, p_recover, matrix, names or ())
-
-
-def _probability(value, name: str, *index: int) -> float:
-    """``value`` as a float, or ValidationError (``probability-out-of-range``)
-    if it is not a number in [0, 1]; ``index`` (0-based) names the entry."""
-    try:
-        p = float(value)
-    except (TypeError, ValueError):
-        p = math.nan
-    if not 0.0 <= p <= 1.0:
-        where = "".join(f"[{i + 1}]" for i in index)
-        raise ValidationError(f"{name}{where} = {value!r} is not a probability in [0, 1]",
-                              code="probability-out-of-range")
-    return p
+        return cls(base.p_fail, base.p_recover, matrix, base.names)
 
 
 def p_on(model: NetworkModel, configs: np.ndarray) -> np.ndarray:
@@ -143,34 +135,61 @@ def _p_on_failed(model: NetworkModel, failed: np.ndarray, nodes=slice(None)) -> 
     return np.where(failed[..., nodes], 1.0 - np.asarray(model.p_recover)[nodes], 1.0 - p_off)
 
 
+def check_int(value, what: str, code: str, lo=-math.inf, hi=math.inf) -> int:
+    """``value`` through ``operator.index``, in [lo, hi], or ValidationError
+    (``code``): a float, string or out-of-range integer is refused here, where
+    it would raise a bare TypeError, ValueError or MemoryError later, or be
+    truncated. The message leaves the value out, which may have more digits
+    than Python writes as a string."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        value = None
+    if value is None or not lo <= value <= hi:
+        raise ValidationError(f"{what} must be an integer in [{lo}, {hi}]", code=code)
+    return value
+
+
+def index_tuple(values, what: str, code: str, lo=-math.inf, hi=math.inf) -> tuple[int, ...]:
+    """:func:`check_int` of each of ``values``; a ``values`` that is not a
+    sequence raises ValidationError (``code``) too."""
+    try:
+        return tuple(check_int(value, what, code, lo, hi) for value in values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of integers", code=code) from None
+
+
+def check_real(value, what: str, code: str, lo=-math.inf, hi=math.inf) -> float:
+    """``float(value)``, finite and in [lo, hi], or ValidationError (``code``):
+    NaN, an infinity, a non-number and an integer past the float range are
+    refused here."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and lo <= x <= hi):
+        raise ValidationError(f"{what} must be a finite number in [{lo}, {hi}]", code=code)
+    return x
+
+
 def seed_tuple(seed) -> tuple[int, ...]:
-    """An integer or tuple-of-integers seed as a tuple of ints. Any other seed
-    and a negative entry raise ValidationError (``invalid-seed``) here, where
-    numpy's seeding would raise a bare TypeError or ValueError."""
-    try:
-        seeds = tuple(map(operator.index, seed if isinstance(seed, tuple) else (seed,)))
-    except TypeError:
-        raise ValidationError(f"seed {seed!r} is not an integer or a tuple of integers",
-                              code="invalid-seed") from None
-    if any(s < 0 for s in seeds):
-        raise ValidationError(f"seed {seed!r} has a negative entry; seeds must be >= 0",
-                              code="invalid-seed")
-    return seeds
-
-
-def index_tuple(values, what: str, code: str) -> tuple[int, ...]:
-    """Each of ``values`` through ``operator.index``, or ValidationError
-    (``code``) where a float or string would raise a bare TypeError later."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise ValidationError(f"{what} {values!r} must be integers", code=code) from None
+    """An integer or tuple-of-integers seed as a tuple of ints >= 0, where numpy's
+    seeding would raise a bare TypeError or ValueError (``invalid-seed``)."""
+    return index_tuple(seed if isinstance(seed, tuple) else (seed,), "seed", "invalid-seed", 0)
 
 
 # --- configuration encoding -------------------------------------------------
 
+_MAX_NODES = 63
+"""Most nodes of a configuration: the bits of an int64, which Monte Carlo
+holds its configurations in."""
+
+
 def format_config(value: int, k: int) -> str:
-    """Render a configuration most-significant node first ("10" = node 2 failed)."""
+    """Render a configuration most-significant node first ("10" = node 2 failed);
+    ``k`` is at most ``_MAX_NODES``."""
+    value = check_int(value, "configuration", "invalid-configuration")
+    k = check_int(k, "node count", "invalid-configuration", 0, _MAX_NODES)
     return format((value & ((1 << k) - 1)) | (1 << k), "b")[1:]
 
 
@@ -253,19 +272,3 @@ def load_model(text: str) -> NetworkModel:
         matrix[m][n] = _require_number(trig["p"], f"trigger entry {i}: 'p'")
     return NetworkModel(p_fail, p_recover, matrix, names)
 
-
-def save_model(model: NetworkModel) -> str:
-    """Serialize a model; only nonzero triggers are written."""
-    doc = {
-        "nodes": [
-            {"name": model.names[i], "p_fail": model.p_fail[i], "p_recover": model.p_recover[i]}
-            for i in range(model.k)
-        ],
-        "triggers": [
-            {"from": model.names[m], "to": model.names[n], "p": model.p_trigger[m][n]}
-            for m in range(model.k)
-            for n in range(model.k)
-            if model.p_trigger[m][n] != 0.0
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"

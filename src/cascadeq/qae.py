@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import GroverSpec, build_model_circuit
-from .errors import (DegenerateSubspaceError, ResourceLimitError, ValidationError,
-                     check_dense_bytes)
-from .model import NetworkModel, seed_tuple
+from .errors import DegenerateSubspaceError, ResourceLimitError, check_dense_bytes
+from .model import NetworkModel, check_int, seed_tuple
 from .sim import check_run_size, probabilities, run
 
 __all__ = [
@@ -66,14 +65,12 @@ def decode_outcome(outcome: int, bits: int) -> tuple[float, float]:
     """Map outcome y to (theta, probability): theta = 2*pi*y/2^bits, p = sin^2(theta/2).
 
     The probability is evaluated at the folded outcome min(y, 2^bits - y) so
-    mirrored outcomes decode to bit-identical probabilities.
+    mirrored outcomes decode to bit-identical probabilities. Past 1,023 bits
+    2^bits is no float, and ``bits`` is refused.
     """
-    if bits < 1:
-        raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
+    bits = check_int(bits, "bits", "invalid-bits", 1, 1023)
     size = 1 << bits
-    if not 0 <= outcome < size:
-        raise ValidationError(f"outcome {outcome} outside 0..{size - 1}",
-                              code="out-of-range")
+    outcome = check_int(outcome, "outcome", "out-of-range", 0, size - 1)
     theta = 2.0 * math.pi * outcome / size
     folded = min(outcome, size - outcome)
     return theta, math.sin(math.pi * folded / size) ** 2
@@ -86,8 +83,8 @@ def _plane(model: NetworkModel, horizon: int, spec: GroverSpec) -> tuple[float, 
     and unmarked configurations, and the residual is |1 - p - q|. What
     ``run`` refuses is refused unbuilt, and a marked node past k before the
     run."""
-    if horizon >= 1:
-        check_run_size(model.k * horizon)
+    horizon = check_int(horizon, "horizon", "invalid-horizon", 1)
+    check_run_size(model.k * horizon)
     base = build_model_circuit(model, horizon)
     for node, _ in spec.marked:  # matches() alone would pass a node past k at bit 0
         base.qubit(node, horizon)
@@ -142,13 +139,11 @@ def _qae_sweep(model: NetworkModel, horizon: int, spec: GroverSpec, pairs,
     The model run is budgeted by :func:`_plane`; no ancilla is simulated.
     """
     for bits, seed in pairs:
-        if bits < 1:
-            raise ValidationError("resolution must be >= 1 bit", code="invalid-bits")
+        check_int(bits, "bits", "invalid-bits", 1)
         seed_tuple(seed)
         # the shots are checked with each pair, so a sweep's first refusal
         # is the one a call per bit count would meet first
-        if shots < 1:
-            raise ValidationError("shots must be >= 1", code="invalid-shots")
+        shots = check_int(shots, "shots", "invalid-shots", 1)
         if shots >= 1 << 63:
             raise ResourceLimitError("the shot count exceeds the 2^63 - 1 that an int64 draw "
                                      "count holds")

@@ -43,7 +43,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import DENSE_BYTE_BUDGET, ResourceLimitError, ValidationError, check_dense_bytes
-from .model import index_tuple
+from .model import check_int, index_tuple
 
 __all__ = [
     "run",
@@ -231,19 +231,22 @@ def check_run_size(n: int) -> None:
     so a caller can refuse before it builds the circuit: the run's peak of
     ``_RUN_PEAK`` times the 16 * 2^n bytes of one statevector passes
     ``DENSE_BYTE_BUDGET``, the simulator's only size limit, from 25 qubits."""
+    n = check_int(n, "qubit count", "invalid-circuit", 0)
     # 16 * 2^63 bytes is past any budget, and past about n = 1020 the float
     # product below would overflow
     if n > 62:
-        raise ResourceLimitError(f"a statevector run on {n} qubits needs at least 2^67 "
-                                 f"bytes, over the budget of {DENSE_BYTE_BUDGET}")
+        raise ResourceLimitError("a statevector run on more than 62 qubits needs at least "
+                                 f"2^67 bytes, over the budget of {DENSE_BYTE_BUDGET}")
     check_dense_bytes(int(_RUN_PEAK * (16 << n)), f"a statevector run on {n} qubits")
 
 
 def probabilities(state: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Marginal distribution over ``qubits``; ``qubits[0]`` is the output LSB."""
     n = _qubit_count(state)
-    qubits = index_tuple(qubits, "qubits", "index-out-of-range")
-    _check_qubits(qubits, n)
+    qubits = index_tuple(qubits, "qubits", "index-out-of-range", 0, n - 1)
+    if not qubits or len(set(qubits)) != len(qubits):
+        raise ValidationError("qubits must be distinct, and at least one",
+                              code="index-out-of-range")
     parts = (state.real, state.imag) if np.iscomplexobj(state) else (state,)
     views = [part.reshape([2] * n) for part in parts]
     axes = list(range(n))
@@ -258,12 +261,3 @@ def _qubit_count(state: np.ndarray) -> int:
         raise ValidationError("statevector length must be a power of two",
                               code="dimension-mismatch")
     return size.bit_length() - 1
-
-
-def _check_qubits(qubits: Sequence[int], n: int) -> None:
-    if len(qubits) == 0:
-        raise ValidationError("at least one qubit required", code="index-out-of-range")
-    if len(set(qubits)) != len(qubits):
-        raise ValidationError("qubits must be distinct", code="index-out-of-range")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValidationError(f"qubit outside 0..{n - 1}", code="index-out-of-range")

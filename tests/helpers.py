@@ -11,16 +11,21 @@ each other.
 :func:`sub_model_gates` applies the package's ``p_on`` to a model of each
 node and its trigger ancestors alone, the model circuit builder's former
 form, to check the builder's gates against.
+:func:`save_model` and :func:`trace_to_text` write the package's model and
+trace file formats, for the tests that read files back.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 
-from cascadeq import Circuit, Gate, NetworkModel, ResourceLimitError, sim
+from cascadeq import Circuit, Gate, LowDepthTrace, NetworkModel, ResourceLimitError, sim
 from cascadeq.circuit import _emit_line, _lower
 from cascadeq.model import p_on
 
@@ -223,3 +228,30 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def save_model(model: NetworkModel) -> str:
+    """Serialize a model in the model file format; only nonzero triggers are written."""
+    doc = {
+        "nodes": [
+            {"name": model.names[i], "p_fail": model.p_fail[i], "p_recover": model.p_recover[i]}
+            for i in range(model.k)
+        ],
+        "triggers": [
+            {"from": model.names[m], "to": model.names[n], "p": model.p_trigger[m][n]}
+            for m in range(model.k)
+            for n in range(model.k)
+            if model.p_trigger[m][n] != 0.0
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def trace_to_text(trace: LowDepthTrace) -> str:
+    """Serialize a trace as delimited text with header ``l,shots,marked``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["l", "shots", "marked"])
+    for power, shots, marked in zip(trace.schedule, trace.shots, trace.marked):
+        writer.writerow([power, shots, int(marked) if marked == int(marked) else marked])
+    return out.getvalue()

@@ -29,12 +29,10 @@ from cascadeq import (
     run,
     run_schedule,
     run_standard_qae,
-    save_model,
     trace_from_text,
-    trace_to_text,
 )
 from cascadeq.circuit import build_grover
-from helpers import enumerate_distribution, extract_unitary, random_model
+from helpers import enumerate_distribution, extract_unitary, random_model, save_model, trace_to_text
 
 TWO_NODE = NetworkModel.from_triggers([0.2, 0.7], [0.3, 0.8], {(1, 2): 0.2, (2, 1): 0.8})
 ONE_NODE = NetworkModel.from_triggers([0.3], [0.1], {})

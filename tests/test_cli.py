@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeq import (FitDivergedError, NetworkModel, ResourceLimitError, parse_gates,
-                      save_model)
+from cascadeq import FitDivergedError, NetworkModel, ResourceLimitError, parse_gates
 from cascadeq import cli
 from cascadeq.cli import _write, main
-from helpers import traced_peak
+from helpers import save_model, traced_peak
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -713,6 +712,42 @@ def test_qae_circuit_past_the_gate_budget_exits_2_before_building(capsys, fixtur
     _no_gates(monkeypatch)
     code = main(["circuit", "--model", model_path(fixtures_dir, "two_node_model.json"),
                  "--steps", "3", "--kind", "qae", "--config", "11", "--bits", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error (resource-limit)")
+    assert captured.out == ""
+
+
+def test_model_file_with_a_401_digit_probability_exits_1(capsys, tmp_path):
+    # json reads the number as an int, which float() cannot hold
+    path = tmp_path / "model.json"
+    path.write_text('{"nodes": [{"name": "a", "p_fail": 1%s, "p_recover": 0.5}]}' % ("0" * 400))
+    code = main(["exact", "--model", str(path), "--steps", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error (probability-out-of-range)")
+    assert captured.out == ""
+
+
+_DIGITS = "9" * 4300  # the most digits Python reads as an int
+
+
+@pytest.mark.parametrize("args", [
+    ("exact", "--steps", _DIGITS),
+    ("mc", "--steps", "2", "--runs", _DIGITS),
+    ("circuit", "--steps", _DIGITS),
+    ("circuit", "--steps", "2", "--kind", "qae", "--config", "11", "--bits", _DIGITS),
+    ("qae", "--steps", _DIGITS, "--config", "11", "--eigenphase"),
+    ("lowdepth", "--steps", "2", "--config", "11", "--shots", "10", "--schedule",
+     "0.." + _DIGITS),
+    ("lowdepth", "--steps", "2", "--config", "11", "--shots", "10", "--schedule", _DIGITS),
+    ("lowdepth", "--steps", _DIGITS, "--config", "11", "--shots", "10"),
+], ids=["exact-steps", "mc-runs", "circuit-steps", "circuit-bits", "eigenphase-steps",
+        "schedule-range", "schedule-power", "lowdepth-steps"])
+def test_a_4300_digit_number_exits_2(capsys, fixtures_dir, args):
+    # refused as too large, and not written out: Python writes no int of more
+    # than 4,300 digits as a string
+    code = main([args[0], "--model", model_path(fixtures_dir, "two_node_model.json"), *args[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error (resource-limit)")

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeq import NetworkModel, save_model
+from cascadeq import NetworkModel
 from cascadeq.cli import main
+from helpers import save_model
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

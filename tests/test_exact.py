@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadeq import (DistributionTable, NetworkModel, ValidationError, evaluate, format_config,
-                      marginal)
-from cascadeq.exact import _FOLD_PEAK, _step_matrix
-from helpers import enumerate_distribution, random_model, step_probability, traced_peak
+import cascadeq.exact as exact
+from cascadeq import (DistributionTable, NetworkModel, ResourceLimitError, ValidationError,
+                      evaluate, format_config, marginal)
+from cascadeq.cli import main
+from cascadeq.errors import DENSE_BYTE_BUDGET
+from cascadeq.exact import _FOLD_PEAK, _TABLE_ENTRY_PEAK, _step_matrix
+from helpers import (enumerate_distribution, random_model, save_model, step_probability,
+                     traced_peak)
 
 # printed three-decimal values of the worked two-node example
 PRINTED = {
@@ -30,6 +34,38 @@ def test_fold_peaks_within_its_byte_budget_factor(k):
     model = random_model(np.random.default_rng(k), k)
     peak = traced_peak(lambda: _step_matrix(model))
     assert peak <= _FOLD_PEAK * 8 * 4 ** k <= 1.3 * peak
+
+
+def test_table_entry_peak_covers_the_exact_verb(tmp_path):
+    # tables and report of a long horizon: a step costs about the same per
+    # entry at k = 6 as at k = 1, counting four entries a step for its objects
+    measured = []
+    for k, horizon in ((1, 3000), (6, 200)):
+        path, out = tmp_path / f"model{k}.json", tmp_path / "report.json"
+        path.write_text(save_model(random_model(np.random.default_rng(1), k)))
+        argv = ["exact", "--model", str(path), "--out", str(out), "--steps"]
+        assert main([*argv, "1"]) == 0  # one-time imports and caches are not per step
+        peak = traced_peak(lambda: main([*argv, str(horizon)])) - _FOLD_PEAK * 8 * 4 ** k
+        measured.append(peak / (((1 << k) + 4) * (horizon + 1)))
+    assert max(measured) <= _TABLE_ENTRY_PEAK <= 1.3 * max(measured), measured
+
+
+class _FoldReached(Exception):
+    pass
+
+
+def test_horizon_past_the_table_budget_is_refused_before_the_fold(monkeypatch, two_node):
+    def no_fold(model):
+        raise _FoldReached
+
+    monkeypatch.setattr(exact, "_step_matrix", no_fold)
+    fold = int(_FOLD_PEAK * 8 * 4 ** 2)
+    top = (DENSE_BYTE_BUDGET - fold) // (_TABLE_ENTRY_PEAK * (4 + 4)) - 1
+    with pytest.raises(_FoldReached):
+        evaluate(two_node, top)
+    for horizon in (top + 1, 2 ** 63, 10 ** 400):
+        with pytest.raises(ResourceLimitError):
+            evaluate(two_node, horizon)
 
 
 def test_step_matrix_no_recovery_keeps_mass():

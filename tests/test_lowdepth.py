@@ -24,13 +24,13 @@ from cascadeq import (
     predict,
     run_schedule,
     trace_from_text,
-    trace_to_text,
 )
 from cascadeq import lowdepth
 from cascadeq.errors import FitDivergedError
 from cascadeq.lowdepth import _fit, _levenberg_marquardt, _residuals
 
 import helpers
+from helpers import trace_to_text
 
 
 def read_trace(fixtures_dir, name):

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import cascadeq.errors as errors
 import cascadeq.mc as mc
 from cascadeq import NetworkModel, ResourceLimitError, ValidationError, evaluate, evaluate_mc
 from cascadeq.model import p_on
-from helpers import random_model, sample_trajectories
+from helpers import random_model, sample_trajectories, traced_peak
 
 
 def test_deterministic_failure():
@@ -159,3 +160,40 @@ def test_refuses_more_nodes_than_an_int64_configuration_holds():
     result = evaluate_mc(chain(63), 2, 5, seed=0)
     assert sum(result.counts.values()) == 5
     assert all(0 <= c < 1 << 63 for c in result.counts)
+
+
+def _stub_sampling(monkeypatch) -> list:
+    """Replace the chunk sampler by one that draws nothing; the returned list
+    gets each sampled chunk's run count."""
+    sampled = []
+
+    def sample(model, horizon, count, rng, table):
+        sampled.append(count)
+        return np.zeros(1, dtype=np.int64), 0
+
+    monkeypatch.setattr(mc, "_sample_chunk", sample)
+    return sampled
+
+
+def test_chunk_peak_covers_the_pool(monkeypatch):
+    # the pool holds every chunk's future at once
+    _stub_sampling(monkeypatch)
+    model = NetworkModel.from_triggers([0.2], [0.5], {})
+    evaluate_mc(model, 1, 8 * mc.CHUNK_SIZE, 0)  # one-time imports are not per chunk
+    for chunks in (512, 1024):
+        peak = traced_peak(lambda: evaluate_mc(model, 1, chunks * mc.CHUNK_SIZE, 0)) / chunks
+        assert peak <= mc._CHUNK_PEAK <= 1.3 * peak, (chunks, peak)
+
+
+def test_runs_past_the_chunk_budget_are_refused_before_the_pool(monkeypatch, two_node):
+    sampled = _stub_sampling(monkeypatch)
+    for runs in (1 << 40, 2 ** 63, 10 ** 400):
+        with pytest.raises(ResourceLimitError):
+            evaluate_mc(two_node, 1, runs, 0)
+    assert sampled == []
+    monkeypatch.setattr(errors, "DENSE_BYTE_BUDGET", 8 * mc._CHUNK_PEAK)
+    assert evaluate_mc(two_node, 1, 8 * mc.CHUNK_SIZE, 0).chunks == 8
+    assert sampled == [mc.CHUNK_SIZE] * 8
+    with pytest.raises(ResourceLimitError):
+        evaluate_mc(two_node, 1, 8 * mc.CHUNK_SIZE + 1, 0)
+    assert len(sampled) == 8

@@ -13,10 +13,9 @@ from cascadeq import (
     format_config,
     load_model,
     parse_config,
-    save_model,
 )
 from cascadeq.model import p_on
-from helpers import random_model, step_probability
+from helpers import random_model, save_model, step_probability
 
 
 def test_validate_accepts_worked_example(two_node):
@@ -94,12 +93,20 @@ def test_constructor_reports_the_first_fault_in_node_order(fields, message):
     assert str(err.value).startswith(message)
 
 
-@pytest.mark.parametrize("pair", [(1.5, 2), (1, "2"), (0, 2), (1, 3)],
-                         ids=["fractional", "string", "zero", "past-k"])
+@pytest.mark.parametrize("pair", [(1.5, 2), (1, "2"), (0, 2), (1, 3), 1, (1, 2, 1)],
+                         ids=["fractional", "string", "zero", "past-k", "not-a-pair", "triple"])
 def test_from_triggers_refuses_bad_indices(pair):
     with pytest.raises(ValidationError) as err:
         NetworkModel.from_triggers([0.1, 0.2], [0.1, 0.2], {pair: 0.1})
     assert err.value.code == "invalid-node-index"
+
+
+@pytest.mark.parametrize("triggers", [{}, {(1, 2): 0.1}], ids=["no-trigger", "trigger"])
+def test_from_triggers_refuses_a_scalar_p_fail(triggers):
+    # k is read only once the constructor has checked the fields
+    with pytest.raises(ValidationError) as err:
+        NetworkModel.from_triggers(0.1, [0.1], triggers)
+    assert err.value.code == "shape-mismatch"
 
 
 def test_load_worked_example(two_node, fixtures_dir):

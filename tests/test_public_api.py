@@ -16,8 +16,7 @@ PUBLIC = {
     "build_model_circuit", "build_qae_circuit", "decode_outcome", "emit_gates", "evaluate",
     "evaluate_mc", "fit_noise_model", "fit_sine", "format_config", "grover_eigenphase",
     "load_model", "marginal", "max_depth", "min_shots", "parse_config", "parse_gates",
-    "predict", "probabilities", "run", "run_schedule", "run_standard_qae", "save_model",
-    "trace_from_text", "trace_to_text",
+    "predict", "probabilities", "run", "run_schedule", "run_standard_qae", "trace_from_text",
 }
 
 
